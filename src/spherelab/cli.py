@@ -139,6 +139,10 @@ COMMAND_DEFAULTS = {
     "compare": {"seed": 7, "state": "all", "samples": 500},
 }
 
+# Counts that must be integers >= 1. They are checked after config merging,
+# so a value from --config is held to the same rule as a flag.
+POSITIVE_OPTIONS = {"identities": ("samples",), "compare": ("samples",), "mc": ("workers",)}
+
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Apply JSON config values beneath explicit flags, then fill defaults."""
@@ -161,6 +165,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in COMMAND_DEFAULTS.get(args.command, {}).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
+    for key in POSITIVE_OPTIONS.get(args.command, ()):
+        value = getattr(args, key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise UsageError(f"--{key} must be an integer >= 1, got {value!r}")
     return args
 
 
@@ -229,13 +237,16 @@ def _tolerances(args) -> dict:
     return tol
 
 
-def _gates(report: ComparisonReport, strict_table: bool) -> list[ComparisonRow]:
-    """The mismatching rows that affect the exit status."""
+def _gates(
+    report: ComparisonReport, strict_table: bool, tolerances=DEFAULT_TOLERANCES
+) -> list[ComparisonRow]:
+    """The mismatching rows that affect the exit status; --strict-table holds
+    the table-vs-pinned rows to the algebraic tolerance in effect."""
     bad = []
     for row in report.rows:
         informational = any(marker in row.label for marker in NONGATING_MARKERS)
         if strict_table and "table_vs_pinned_z" in row.label:
-            if abs(row.residual) > DEFAULT_TOLERANCES["algebraic"]:
+            if abs(row.residual) > tolerances["algebraic"]:
                 bad.append(row)
             continue
         if not informational and row.verdict == "mismatch":
@@ -271,12 +282,12 @@ def compare_singlet(samples: int = 1000, seed: int = 7, tolerances=None) -> Comp
     tol = tolerances or DEFAULT_TOLERANCES
     rng = np.random.default_rng(seed)
     a, b = random_unit_vectors(rng, samples), random_unit_vectors(rng, samples)
-    state = qmref.singlet_state()
+    oracle = qmref.expectations(qmref.singlet_state(), np.stack((a, b), axis=1))
     rows = [
         make_row(
             f"singlet[{i}]",
             lrmodel.singlet_correlation(a[i], b[i]),
-            qmref.pair_expectation(state, a[i], b[i]),
+            oracle[i],
             tol["algebraic"],
         )
         for i in range(samples)
@@ -291,11 +302,12 @@ def compare_chsh(
     rng = np.random.default_rng(seed)
     dirs = random_unit_vectors(rng, 4 * samples).reshape(samples, 4, 3)
     state = qmref.singlet_state()
+    oracle = qmref.chsh_values(state, dirs)
     rows = [
         make_row(
             f"chsh[{i}]",
             lrmodel.chsh_model(*dirs[i]),
-            qmref.chsh_qm(state, *dirs[i]),
+            oracle[i],
             tol["algebraic"],
         )
         for i in range(samples)
@@ -553,7 +565,7 @@ def cmd_model(args) -> int:
             value, report = lrmodel.ghz4_model(*dirs, mode=args.mode, table=args.table,
                                                tol=tol["algebraic"])
         report.meta["value"] = value
-        return _emit(args, report, _gates(report, args.strict_table))
+        return _emit(args, report, _gates(report, args.strict_table, tol))
 
     raise UsageError(f"unknown model {which!r}")
 
@@ -647,9 +659,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    report = build_comparison(args.state, args.samples, args.seed, args.table,
-                              _tolerances(args))
-    return _emit(args, report, _gates(report, args.strict_table))
+    tol = _tolerances(args)
+    report = build_comparison(args.state, args.samples, args.seed, args.table, tol)
+    return _emit(args, report, _gates(report, args.strict_table, tol))
 
 
 # ---------------------------------------------------------------------------

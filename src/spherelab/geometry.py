@@ -46,9 +46,13 @@ def polar_angles(n) -> tuple[float, float]:
     return theta, phi
 
 
-def coplanar_direction(t: float) -> np.ndarray:
-    """Unit vector at angle t from z in the x-z plane; the plane used for CHSH sweeps."""
-    return np.array([np.sin(t), 0.0, np.cos(t)])
+def coplanar_direction(t) -> np.ndarray:
+    """Unit vector at angle t from z in the x-z plane; the plane used for CHSH sweeps.
+
+    An array of angles gives the stack of directions, shape t.shape + (3,).
+    """
+    t = np.asarray(t, dtype=float)
+    return np.stack((np.sin(t), np.zeros_like(t), np.cos(t)), axis=-1)
 
 
 def random_unit_vectors(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 Everything here is computed the dumb, explicit way: state vectors as
 2^n complex amplitude arrays (site 1 = most significant bit, bit 0 is
-spin up), spin observables as Kronecker products of sigma . n matrices,
-expectations as matrix-vector contractions.  No closed form is trusted;
-the closed-form expressions live in *_closed_form companions so the two
-routes can be compared.
+spin up), and expectations of sigma . n_1 (x) ... (x) sigma . n_k as a
+full contraction of the (2,)*k state tensor, its conjugate, and one
+2x2 spin matrix per site, batched over a stack of direction tuples in a
+single einsum.  No closed form is trusted; the closed-form expressions
+live in *_closed_form companions so the two routes can be compared, and
+SpinObservable.matrix() keeps the Kronecker-product route as the
+reference the contraction is tested against.
 
 The spin matrix uses polar/azimuthal angles via
 n = (sin t cos p, sin t sin p, cos t), which gives
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .geometry import coplanar_direction, require_unit
+from .geometry import UNIT_TOL, coplanar_direction, require_unit
 
 NORM_TOL = 1e-12
 
@@ -158,19 +161,49 @@ def make_state(kind: str, **params) -> StateVector:
     raise ValueError(f"unknown state kind {kind!r}")
 
 
+# Rows are sigma_x, sigma_y, sigma_z flattened, so n @ _PAULI is sigma . n
+# flattened; each entry (nz, nx - i ny, nx + i ny, -nz) comes out exact.
+_PAULI = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+
+
+def _contraction(k: int) -> str:
+    """einsum subscripts for <psi| M_1 (x) ... (x) M_k |psi> over a batch z:
+    conj(psi)[rows], one (z, row, col) matrix per site, psi[cols] -> z."""
+    rows, cols = "abcd"[:k], "efgh"[:k]
+    return ",".join([rows, *(f"z{r}{c}" for r, c in zip(rows, cols)), cols]) + "->z"
+
+
+def expectations(state: StateVector, directions) -> np.ndarray:
+    """<psi| sigma.n_1 (x) ... (x) sigma.n_k |psi> for each row of an (N, k, 3)
+    stack of unit directions, by one explicit contraction of the state
+    tensor; returns the N real values, each in [-1, 1]."""
+    k = state.n_qubits
+    dirs = np.asarray(directions, dtype=float)
+    if dirs.ndim != 3 or dirs.shape[1:] != (k, 3):
+        raise ValueError(f"expected an (N, {k}, 3) direction stack for a {k}-qubit state, "
+                         f"got shape {dirs.shape}")
+    if not np.all(np.isfinite(dirs)):
+        raise ValueError("direction has non-finite components")
+    norms = np.sqrt(np.einsum("nki,nki->nk", dirs, dirs))
+    off = np.abs(norms - 1.0) > UNIT_TOL
+    if np.any(off):
+        raise ValueError(f"direction must be unit length (|v| = {float(norms[off][0])!r})")
+    m = (dirs @ _PAULI).reshape(dirs.shape[:-1] + (2, 2))
+    psi = state.amplitudes.reshape((2,) * k)
+    vals = np.einsum(_contraction(k), psi.conj(), *(m[:, i] for i in range(k)), psi)
+    if np.any(np.abs(vals.imag) > 1e-12):
+        worst = float(vals.imag[np.argmax(np.abs(vals.imag))])
+        raise AssertionError(f"expectation has imaginary residue {worst!r}")
+    return vals.real
+
+
 def tensor_expectation(state: StateVector, obs: SpinObservable) -> float:
-    """<psi| sigma.n_1 (x) ... |psi> by explicit contraction; real, in [-1, 1]."""
-    if obs.n_sites != state.n_qubits:
-        raise ValueError(f"observable has {obs.n_sites} sites, state has {state.n_qubits}")
-    psi = state.amplitudes
-    val = complex(np.vdot(psi, obs.matrix() @ psi))
-    if abs(val.imag) > 1e-12:
-        raise AssertionError(f"expectation has imaginary residue {val.imag!r}")
-    return val.real
+    """<psi| sigma.n_1 (x) ... |psi> for one observable; real, in [-1, 1]."""
+    return float(expectations(state, [obs.directions])[0])
 
 
 def pair_expectation(state: StateVector, a, b) -> float:
-    return tensor_expectation(state, SpinObservable((a, b)))
+    return float(expectations(state, [[a, b]])[0])
 
 
 def _site_vector(setting: str, theta: float) -> np.ndarray:
@@ -226,16 +259,26 @@ def hardy_amplitude_closed_form(theta: float, site1: str, site2: str) -> float:
     return table[(site1, site2)] / s
 
 
-def chsh_qm(state: StateVector, a, ap, b, bp) -> float:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
+# (a, b), (a, b'), (a', b), (a', b') as indices into an (a, a', b, b') quadruple.
+_CHSH_PAIRS = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
+
+
+def chsh_values(state: StateVector, quadruples) -> np.ndarray:
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b') for each row of an (N, 4, 3)
+    stack of (a, a', b, b'), from one kernel call over all 4N pairs."""
     if state.n_qubits != 2:
         raise ValueError("CHSH needs a 2-qubit state")
-    return (
-        pair_expectation(state, a, b)
-        + pair_expectation(state, a, bp)
-        + pair_expectation(state, ap, b)
-        - pair_expectation(state, ap, bp)
-    )
+    quads = np.asarray(quadruples, dtype=float)
+    if quads.ndim != 3 or quads.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4, 3) quadruple stack, got shape {quads.shape}")
+    e = expectations(state, quads[:, _CHSH_PAIRS].reshape(-1, 2, quads.shape[2]))
+    e = e.reshape(-1, 4)
+    return e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3]
+
+
+def chsh_qm(state: StateVector, a, ap, b, bp) -> float:
+    """E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
+    return float(chsh_values(state, [[a, ap, b, bp]])[0])
 
 
 def maximize_chsh(state: StateVector, starts: int = 12, seed: int = 0):
@@ -249,7 +292,7 @@ def maximize_chsh(state: StateVector, starts: int = 12, seed: int = 0):
         raise ValueError("CHSH needs a 2-qubit state")
 
     def chsh_of(t):
-        return chsh_qm(state, *(coplanar_direction(ti) for ti in t))
+        return chsh_values(state, coplanar_direction(t)[None])[0]
 
     rng = np.random.default_rng(seed)
     structured = [

@@ -42,6 +42,18 @@ def test_compare_strict_table_gates(tmp_path):
     assert (tmp_path / "s.json").exists()  # report still written on exit 1
 
 
+def test_strict_table_uses_the_algebraic_tolerance_in_effect(tmp_path):
+    # The table-vs-pinned gaps are 0.03-0.2; a loosened algebraic class
+    # must let them pass under --strict-table.
+    out = tmp_path / "loose.json"
+    code = run_cli("compare", "--state", "ghz4", "--samples", "3", "--seed", "7",
+                   "--strict-table", "--tolerance", "algebraic=1", "--out", str(out))
+    assert code == 0
+    report = ComparisonReport.from_json(out.read_text())
+    gaps = [abs(r.residual) for r in report.rows if "table_vs_pinned_z" in r.label]
+    assert gaps and 1e-12 < max(gaps) < 1.0
+
+
 def test_qm_missing_angles_file_exits_two(tmp_path, capsys):
     out = tmp_path / "never.json"
     code = run_cli("qm", "--state", "ghz4", "--angles-file", str(tmp_path / "missing.json"),
@@ -156,6 +168,45 @@ def test_identities_command(tmp_path):
     labels = {r.label for r in report.rows}
     assert "ga3.associativity" in labels
     assert any(l.startswith("s7.lagrange_identity") for l in labels)
+
+
+def test_identities_small_sample_count(tmp_path):
+    out = tmp_path / "identities.json"
+    assert run_cli("identities", "--samples", "5", "--table", "cyclic-124",
+                   "--out", str(out)) == 0
+    report = ComparisonReport.from_json(out.read_text())
+    assert report.meta["samples"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--state", "singlet", "--samples", "0"),
+    ("compare", "--state", "singlet", "--samples", "-2"),
+    ("identities", "--samples", "0"),
+    ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
+     "--trials", "10", "--workers", "0"),
+    ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
+     "--trials", "10", "--workers", "-3"),
+])
+def test_count_options_below_one_exit_two(argv, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    (("compare", "--state", "singlet"), {"samples": 0}),
+    (("compare", "--state", "singlet"), {"samples": "abc"}),
+    (("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
+      "--trials", "10"), {"workers": -3}),
+])
+def test_count_options_from_config_are_validated(command, config, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "never.json"
+    assert run_cli(*command, "--config", str(path), "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_config_file_merge(tmp_path):

@@ -186,3 +186,46 @@ def test_expectation_stays_in_physical_range():
         obs = qmref.SpinObservable(tuple(random_unit_vectors(RNG, 3)))
         val = qmref.tensor_expectation(state, obs)
         assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
+
+
+def test_batched_kernel_matches_kronecker_reference():
+    rng = np.random.default_rng(4242)
+    for k in range(1, 5):
+        amps = rng.standard_normal(2**k) + 1j * rng.standard_normal(2**k)
+        state = qmref.general_state(amps / np.linalg.norm(amps))
+        dirs = random_unit_vectors(rng, 2000 * k).reshape(2000, k, 3)
+        batched = qmref.expectations(state, dirs)
+        psi = state.amplitudes
+        reference = np.array(
+            [np.vdot(psi, qmref.SpinObservable(tuple(d)).matrix() @ psi).real for d in dirs]
+        )
+        assert batched.shape == (2000,)
+        assert np.max(np.abs(batched - reference)) <= 1e-14, k
+        assert qmref.expectations(state, np.zeros((0, k, 3))).shape == (0,)
+        bad = dirs[:5].copy()
+        bad[3, k - 1] *= 1.01
+        with pytest.raises(ValueError):
+            qmref.expectations(state, bad)
+        bad[3, k - 1] = [np.nan, 0.0, 1.0]
+        with pytest.raises(ValueError):
+            qmref.expectations(state, bad)
+        with pytest.raises(ValueError):
+            qmref.expectations(state, random_unit_vectors(rng, 5 * (k + 1)).reshape(5, k + 1, 3))
+        with pytest.raises(ValueError):
+            qmref.expectations(state, dirs[:, :, :2])
+
+
+def test_chsh_values_batch_matches_scalar_route():
+    state = qmref.hardy_state(0.4)
+    quads = random_unit_vectors(RNG, 200).reshape(50, 4, 3)
+    batched = qmref.chsh_values(state, quads)
+    scalar = [
+        qmref.pair_expectation(state, a, b) + qmref.pair_expectation(state, a, bp)
+        + qmref.pair_expectation(state, ap, b) - qmref.pair_expectation(state, ap, bp)
+        for a, ap, b, bp in quads
+    ]
+    assert np.max(np.abs(batched - scalar)) <= 1e-15
+    with pytest.raises(ValueError):
+        qmref.chsh_values(qmref.ghz4_state(), quads)
+    with pytest.raises(ValueError):
+        qmref.chsh_values(state, quads[:, :3])
