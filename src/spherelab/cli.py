@@ -74,12 +74,21 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
+def _umask() -> int:
+    """The process umask; os.umask reads it only by setting it, so set it back."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give the artifact the mode open() would.
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -139,13 +148,42 @@ COMMAND_DEFAULTS = {
     "compare": {"seed": 7, "state": "all", "samples": 500},
 }
 
-# Counts that must be integers >= 1. They are checked after config merging,
-# so a value from --config is held to the same rule as a flag.
+# Counts that must be >= 1. They are checked after config merging, so a value
+# from --config (whose type is checked like a flag's) is held to the same rule.
 POSITIVE_OPTIONS = {"identities": ("samples",), "compare": ("samples",), "mc": ("workers",)}
 
+# JSON types a --config value may have, by what its flag parses to. An int
+# flag takes an integer that is not a boolean, a float flag any number;
+# --angles also takes the numbers themselves and --tolerance the CLASS=VALUE
+# items it would be given repeatedly.
+CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                str: ((str,), "a string"), bool: ((bool,), "true or false")}
+CONFIG_LISTS = {"angles": ((str, list), "a string or a list"), "tolerance": ((list,), "a list")}
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Apply JSON config values beneath explicit flags, then fill defaults."""
+
+def _subcommand_options(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action for each option flag of a subcommand."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions if a.option_strings}
+
+
+def _check_config_value(action: argparse.Action, value):
+    """UsageError unless a --config value has the JSON type its flag takes and
+    is one of the flag's choices."""
+    if action.dest in CONFIG_LISTS:
+        allowed, want = CONFIG_LISTS[action.dest]
+    else:
+        allowed, want = CONFIG_TYPES[bool if action.nargs == 0 else action.type or str]
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        raise UsageError(f"{action.option_strings[-1]} must be {want}, got {value!r} (from --config)")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"{action.option_strings[-1]} must be one of "
+                         f"{', '.join(action.choices)}, got {value!r} (from --config)")
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Apply JSON config values beneath explicit flags, then fill defaults.
+    A value for one of the subcommand's flags must have the type that flag takes."""
     if getattr(args, "config", None):
         try:
             doc = Path(args.config).read_text()
@@ -157,8 +195,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
+        options = _subcommand_options(parser, args.command)
         for key, value in data.items():
             attr = key.replace("-", "_")
+            if attr in options:
+                _check_config_value(options[attr], value)
             current = getattr(args, attr, None)
             if current is None or (current is False and isinstance(value, bool)):
                 setattr(args, attr, value)
@@ -167,7 +208,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, key, value)
     for key in POSITIVE_OPTIONS.get(args.command, ()):
         value = getattr(args, key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if value < 1:
             raise UsageError(f"--{key} must be an integer >= 1, got {value!r}")
     return args
 
@@ -234,6 +275,8 @@ def _tolerances(args) -> dict:
             tol[key] = float(value)
         except ValueError:
             raise UsageError(f"bad tolerance value in {item!r}")
+        if not tol[key] >= 0.0:
+            raise UsageError(f"--tolerance {key} must be >= 0 (inf allowed), got {value!r}")
     return tol
 
 
@@ -616,7 +659,7 @@ def cmd_scan_chsh(args) -> int:
     if getattr(args, "out", None):
         path = write_report("\n".join(lines) + "\n", args.out, "csv")
         print(f"wrote {path}")
-    print(f"max |value| = {sweep['max_abs_value']!r} at {list(sweep['argmax'])}")
+    print(f"max |value| = {sweep['max_abs_value']!r} at {[float(t) for t in sweep['argmax']]}")
     print(f"bound violations: fraction={sweep['bound_violation_fraction']:.4f} "
           f"max={sweep['max_bound_violation']:.6f}")
     return 0
@@ -760,7 +803,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import require_orientation, require_unit
+from .geometry import require_orientation, require_unit, require_units
 
 COMPONENT_LABELS = ("1", "e1", "e2", "e3", "e23", "e31", "e12", "e123")
 
@@ -196,7 +196,7 @@ def commutator(x: Multivector3, y: Multivector3) -> Multivector3:
     return geometric_product(x, y) - geometric_product(y, x)
 
 
-def beable_product_point(u, v, orientation: int) -> tuple[float, np.ndarray]:
+def beable_product_point(u, v, orientation: int) -> tuple[float | np.ndarray, np.ndarray]:
     """Product of the two beables about u and v, as (scalar, bivector axis).
 
     The scalar part -(u . v) is orientation-independent.  The oriented part
@@ -206,8 +206,12 @@ def beable_product_point(u, v, orientation: int) -> tuple[float, np.ndarray]:
     product.  For orientation +1 this is exactly the raw geometric product
     of the two beables; for orientation -1 it is the raw product taken in
     the opposite order (the mirrored algebra).
+
+    u and v may be (..., 3) stacks of directions; they broadcast, and the
+    scalar part is then an array of the leading shape instead of a float.
     """
-    u = require_unit(u)
-    v = require_unit(v)
+    u = require_units(u)
+    v = require_units(v)
     orientation = require_orientation(orientation)
-    return -float(np.dot(u, v)), -orientation * np.cross(u, v)
+    scalar = -(u * v).sum(-1)
+    return (float(scalar) if scalar.ndim == 0 else scalar), -orientation * np.cross(u, v)

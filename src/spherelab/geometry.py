@@ -7,22 +7,31 @@ import numpy as np
 UNIT_TOL = 1e-9
 
 
-def as_vector(v, dim: int, name: str = "vector") -> np.ndarray:
+def require_units(v, dim: int = 3, name: str = "direction", tol: float = UNIT_TOL) -> np.ndarray:
+    """Validate a (..., dim) stack of unit vectors, each to within `tol` of norm 1,
+    and return it as a float array."""
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite components")
+    if arr.ndim == 0 or arr.shape[-1] != dim:
+        raise ValueError(f"{name} must have shape (..., {dim}), got {arr.shape}")
+    norms = np.sqrt((arr * arr).sum(axis=-1))
+    # A non-finite component makes its norm NaN or inf, so one comparison
+    # catches both faults; the slower finiteness test only picks the message.
+    unit = abs(norms - 1.0) <= tol
+    if not unit.all():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite components")
+        worst = float(np.extract(~unit, norms)[0])
+        raise ValueError(f"{name} must be unit length (|v| = {worst!r})")
     return arr
 
 
 def require_unit(v, dim: int = 3, name: str = "direction", tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate a unit vector to within `tol` of norm 1 and return it as float array."""
-    arr = as_vector(v, dim, name)
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"{name} must be unit length (|v| = {norm!r})")
-    return arr
+    """Validate one unit vector of shape (dim,) to within `tol` of norm 1 and
+    return it as float array."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (dim,):
+        raise ValueError(f"{name} must have shape ({dim},), got {arr.shape}")
+    return require_units(arr, dim, name, tol)
 
 
 def require_orientation(orientation: int) -> int:

@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from . import qmref
 from .ga3 import Multivector3, product_chain
@@ -443,6 +441,10 @@ def solve_hardy(
     Ties within 1e-12 of the best norm break toward continuity with `init`,
     then toward the smallest angle-vector norm.
     """
+    # scipy takes about a second to import; only the solver needs it.
+    from scipy import optimize
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=7, scramble=True, seed=seed)
     x0s = [np.pi * row for row in sampler.random(starts)]
     if init is not None:

@@ -27,9 +27,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .geometry import UNIT_TOL, coplanar_direction, require_unit
+from .geometry import coplanar_direction, require_unit, require_units
 
 NORM_TOL = 1e-12
 
@@ -182,12 +181,7 @@ def expectations(state: StateVector, directions) -> np.ndarray:
     if dirs.ndim != 3 or dirs.shape[1:] != (k, 3):
         raise ValueError(f"expected an (N, {k}, 3) direction stack for a {k}-qubit state, "
                          f"got shape {dirs.shape}")
-    if not np.all(np.isfinite(dirs)):
-        raise ValueError("direction has non-finite components")
-    norms = np.sqrt(np.einsum("nki,nki->nk", dirs, dirs))
-    off = np.abs(norms - 1.0) > UNIT_TOL
-    if np.any(off):
-        raise ValueError(f"direction must be unit length (|v| = {float(norms[off][0])!r})")
+    require_units(dirs)
     m = (dirs @ _PAULI).reshape(dirs.shape[:-1] + (2, 2))
     psi = state.amplitudes.reshape((2,) * k)
     vals = np.einsum(_contraction(k), psi.conj(), *(m[:, i] for i in range(k)), psi)
@@ -290,6 +284,8 @@ def maximize_chsh(state: StateVector, starts: int = 12, seed: int = 0):
     """
     if state.n_qubits != 2:
         raise ValueError("CHSH needs a 2-qubit state")
+    # scipy takes about a second to import; only the CHSH search needs it.
+    from scipy import optimize
 
     def chsh_of(t):
         return chsh_values(state, coplanar_direction(t)[None])[0]

@@ -32,6 +32,12 @@ The module also provides the fixed sign/slot embeddings of R^3 measurement
 directions into R^7 used by the three- and four-particle correlation
 models.  The cross-product table is injectable everywhere so downstream
 results can be recomputed under alternative tables.
+
+Every kernel broadcasts over leading axes: vectors are (..., 7) arrays,
+points of the 7-sphere are (..., 8) component arrays (scalar first), and
+R^3 directions are (..., 3) arrays, so a sweep is one call on a stack.
+The scalar APIs (SevenPoint, oct_product, one vector per argument) are
+thin wrappers over the same kernels.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import require_orientation, require_unit
+from .geometry import require_orientation, require_unit, require_units
 
 # Cyclic convention (i, i+1, i+3) mod 7: e1 x e2 = e4, etc.
 DEFAULT_TRIPLES = (
@@ -73,7 +79,6 @@ class CrossTable:
     _f: np.ndarray = field(init=False, repr=False, compare=False)
     _ii: np.ndarray = field(init=False, repr=False, compare=False)
     _jj: np.ndarray = field(init=False, repr=False, compare=False)
-    _signs: np.ndarray = field(init=False, repr=False, compare=False)
     _scatter: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,13 +103,13 @@ class CrossTable:
                 signs.append(sign)
         if len(seen_pairs) != 21:
             raise ValueError("triples must cover all 21 index pairs")
+        # Signed scatter: pair p adds signs[p] * (x_i y_j - x_j y_i) to slot k.
         scatter = np.zeros((21, 7))
-        scatter[np.arange(21), kk] = 1.0
+        scatter[np.arange(21), kk] = signs
         for name, value in (
             ("_f", f),
             ("_ii", np.array(ii)),
             ("_jj", np.array(jj)),
-            ("_signs", np.array(signs)),
             ("_scatter", scatter),
         ):
             value.setflags(write=False)
@@ -167,8 +172,16 @@ def cross7(x, y, table: CrossTable | None = None) -> np.ndarray:
     """
     t = get_table(table)
     x, y = np.asarray(x, float), np.asarray(y, float)
-    terms = t._signs * (x[..., t._ii] * y[..., t._jj] - x[..., t._jj] * y[..., t._ii])
-    return terms @ t._scatter
+    return (x[..., t._ii] * y[..., t._jj] - x[..., t._jj] * y[..., t._ii]) @ t._scatter
+
+
+_ONES7 = np.ones((7, 1))
+
+
+def _dot(x, y) -> np.ndarray:
+    """Dot product of 7-vectors over the last axis, kept as a length-1 axis
+    (broadcasts; array-likes are converted)."""
+    return np.multiply(x, y) @ _ONES7
 
 
 @dataclass(frozen=True)
@@ -186,6 +199,10 @@ class SevenPoint:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "x", arr)
 
+    def components(self) -> np.ndarray:
+        """The (8,) component array (a, x1, ..., x7)."""
+        return np.concatenate(([self.a], self.x))
+
     def norm(self) -> float:
         return float(np.sqrt(self.a**2 + np.dot(self.x, self.x)))
 
@@ -199,10 +216,19 @@ class SevenPoint:
 IDENTITY7 = SevenPoint(1.0, np.zeros(7))
 
 
+def _oct_components(p, q, table: CrossTable | None = None) -> np.ndarray:
+    """(a, X)(b, Y) = (ab - X.Y, aY + bX - X x Y) on raw (..., 8) component
+    arrays, scalar first."""
+    p, q = np.asarray(p, float), np.asarray(q, float)
+    a, x = p[..., :1], p[..., 1:]
+    b, y = q[..., :1], q[..., 1:]
+    return np.concatenate((a * b - _dot(x, y), a * y + b * x - cross7(x, y, table)), axis=-1)
+
+
 def oct_product(p: SevenPoint, q: SevenPoint, table: CrossTable | None = None) -> SevenPoint:
     """(a, X)(b, Y) = (ab - X.Y, aY + bX - X x Y); unit inputs give a unit output."""
-    xy = cross7(p.x, q.x, table)
-    return SevenPoint(p.a * q.a - float(np.dot(p.x, q.x)), p.a * q.x + q.a * p.x - xy)
+    out = _oct_components(p.components(), q.components(), table)
+    return SevenPoint(out[0], out[1:])
 
 
 def beable7(n, orientation: int) -> SevenPoint:
@@ -218,25 +244,25 @@ def z_deviation(n2, n3, n4, table: CrossTable | None = None) -> np.ndarray:
     Zero on associative triples; always orthogonal to n2, n3, n4 and to
     n3 x n4 (consequences of the mixed-product identity).
     """
-    n2, n3, n4 = (np.asarray(v, float) for v in (n2, n3, n4))
     return (
         cross7(n2, cross7(n3, n4, table), table)
-        - n3 * float(np.dot(n2, n4))
-        + n4 * float(np.dot(n2, n3))
+        - n3 * _dot(n2, n4)
+        + n4 * _dot(n2, n3)
     )
 
 
-def lagrange_residual(n1, n2, n3, n4, table: CrossTable | None = None) -> float:
+def lagrange_residual(n1, n2, n3, n4, table: CrossTable | None = None):
     """Defect of the generalized Lagrange identity; identically ~0 for any
-    table with the mixed-product property."""
-    n1 = np.asarray(n1, float)
-    lhs = float(np.dot(cross7(n1, n2, table), cross7(n3, n4, table)))
+    table with the mixed-product property.  A float for one quadruple, an
+    array of the leading shape for stacks."""
+    lhs = _dot(cross7(n1, n2, table), cross7(n3, n4, table))
     rhs = (
-        float(np.dot(n1, n3)) * float(np.dot(n2, n4))
-        - float(np.dot(n1, n4)) * float(np.dot(n2, n3))
-        + float(np.dot(n1, z_deviation(n2, n3, n4, table)))
+        _dot(n1, n3) * _dot(n2, n4)
+        - _dot(n1, n4) * _dot(n2, n3)
+        + _dot(n1, z_deviation(n2, n3, n4, table))
     )
-    return lhs - rhs
+    residual = (lhs - rhs)[..., 0]
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def jacobiator(x, y, z, table: CrossTable | None = None) -> np.ndarray:
@@ -248,11 +274,26 @@ def jacobiator(x, y, z, table: CrossTable | None = None) -> np.ndarray:
     )
 
 
-def _embed(n, signs: tuple[int, int, int], slots: tuple[int, int, int]) -> np.ndarray:
-    out = np.zeros(7)
-    for sign, slot, comp in zip(signs, slots, n):
-        out[slot - 1] = sign * comp
-    return out
+def _embedding(signs: tuple[int, int, int], slots: tuple[int, int, int]) -> np.ndarray:
+    """The (3, 7) matrix E for which n @ E puts sign_i * n_i in slot_i (1-based)."""
+    e = np.zeros((3, 7))
+    e[[0, 1, 2], [slot - 1 for slot in slots]] = signs
+    e.setflags(write=False)
+    return e
+
+
+_GHZ4_EMBEDDINGS = (
+    _embedding((-1, 1, -1), (1, 2, 3)),
+    _embedding((1, 1, 1), (1, 2, 4)),
+    _embedding((1, 1, 1), (1, 2, 5)),
+    _embedding((1, -1, -1), (1, 2, 6)),
+)
+_GHZ3_EMBEDDINGS = (
+    _embedding((-1, 1, -1), (1, 2, 3)),
+    _embedding((1, 1, 1), (1, 2, 4)),
+    _embedding((1, -1, -1), (1, 2, 5)),
+    _embedding((-1, -1, 1), (1, 2, 6)),
+)
 
 
 def embed_ghz4(n1, n2, n3, n4) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -264,24 +305,24 @@ def embed_ghz4(n1, n2, n3, n4) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
         N3 = (+n3x, +n3y, 0, 0, +n3z, 0, 0)
         N4 = (+n4x, -n4y, 0, 0, 0, -n4z, 0)
     Unit inputs give unit outputs (each is a signed permutation of components).
+    Each direction may be a (..., 3) stack; the outputs are (..., 7).
     """
-    n1, n2, n3, n4 = (require_unit(v) for v in (n1, n2, n3, n4))
-    return (
-        _embed(n1, (-1, 1, -1), (1, 2, 3)),
-        _embed(n2, (1, 1, 1), (1, 2, 4)),
-        _embed(n3, (1, 1, 1), (1, 2, 5)),
-        _embed(n4, (1, -1, -1), (1, 2, 6)),
-    )
+    return tuple(require_units(n) @ e for n, e in zip((n1, n2, n3, n4), _GHZ4_EMBEDDINGS))
 
 
-def ghz3_reference_direction(alpha: float, delta: float) -> np.ndarray:
-    """Unit reference direction n0 = (sin a cos d, sin a sin d, cos a)."""
-    sa = np.sin(alpha)
-    return np.array([sa * np.cos(delta), sa * np.sin(delta), np.cos(alpha)])
+def ghz3_reference_direction(alpha, delta) -> np.ndarray:
+    """Unit reference direction n0 = (sin a cos d, sin a sin d, cos a);
+    arrays of angles give the broadcast stack of directions, shape (..., 3)."""
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    out = np.empty(np.broadcast(sa, delta).shape + (3,))
+    out[..., 0] = sa * np.cos(delta)
+    out[..., 1] = sa * np.sin(delta)
+    out[..., 2] = ca
+    return out
 
 
 def embed_ghz3(
-    n1, n2, n3, alpha: float, delta: float
+    n1, n2, n3, alpha, delta
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """R^3 -> R^7 embeddings for the three-particle model plus its fixed
     reference point direction N0.
@@ -291,12 +332,8 @@ def embed_ghz3(
         N1 = (+n1x, +n1y, 0, +n1z, 0, 0, 0)
         N2 = (+n2x, -n2y, 0, 0, -n2z, 0, 0)
         N3 = (-n3x, -n3y, 0, 0, 0, +n3z, 0)
+    Directions may be (..., 3) stacks and the angles arrays; they broadcast.
     """
-    n1, n2, n3 = (require_unit(v) for v in (n1, n2, n3))
     n0 = ghz3_reference_direction(alpha, delta)
-    return (
-        _embed(n0, (-1, 1, -1), (1, 2, 3)),
-        _embed(n1, (1, 1, 1), (1, 2, 4)),
-        _embed(n2, (1, -1, -1), (1, 2, 5)),
-        _embed(n3, (-1, -1, 1), (1, 2, 6)),
-    )
+    dirs = (n0,) + tuple(require_units(n) for n in (n1, n2, n3))
+    return tuple(n @ e for n, e in zip(dirs, _GHZ3_EMBEDDINGS))

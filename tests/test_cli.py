@@ -1,7 +1,10 @@
 """Command-line front end checks: exit codes, artifact determinism,
 atomic writes, unit handling, config merging."""
 
+import ast
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -280,3 +283,81 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
     assert (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("config, flag", [
+    ({"seed": "x"}, "--seed"),
+    ({"seed": True}, "--seed"),
+    ({"seed": 1.5}, "--seed"),
+    ({"format": "xml"}, "--format"),
+    ({"strict-table": "yes"}, "--strict-table"),
+    ({"out": 5}, "--out"),
+    ({"tolerance": "algebraic=1e-6"}, "--tolerance"),
+])
+def test_config_values_are_type_checked(config, flag, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("compare", "--state", "singlet", "--samples", "3", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_config_values_of_the_right_type_are_used(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 3, "strict-table": False, "format": "csv",
+                                "tolerance": ["algebraic=1e-6"]}))
+    out = tmp_path / "r.csv"
+    assert run_cli("compare", "--state", "singlet", "--samples", "3", "--config", str(path),
+                   "--out", str(out)) == 0
+    assert out.read_text().startswith("label,")
+    path.write_text(json.dumps({"weight-plus": 1, "angles": [0, 0, 120, 0]}))
+    assert run_cli("mc", "--experiment", "singlet", "--unit", "deg", "--trials", "10",
+                   "--config", str(path)) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_tolerance_rejects_nan_and_negative(value, capsys):
+    assert run_cli("compare", "--state", "singlet", "--samples", "3",
+                   "--tolerance", f"algebraic={value}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tolerance") and err.count("\n") == 1
+
+
+def test_tolerance_accepts_inf():
+    assert run_cli("compare", "--state", "singlet", "--samples", "3",
+                   "--tolerance", "algebraic=inf") == 0
+
+
+def test_artifact_mode_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        run_cli("compare", "--state", "singlet", "--samples", "3", "--out", str(tmp_path / "r.json"))
+        os.umask(0o077)
+        run_cli("compare", "--state", "singlet", "--samples", "3", "--out", str(tmp_path / "p.json"))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "r.json").stat().st_mode) == 0o644
+    assert stat.S_IMODE((tmp_path / "p.json").stat().st_mode) == 0o600
+
+
+def test_scan_chsh_prints_plain_floats(capsys):
+    assert run_cli("scan-chsh", "--count", "50", "--seed", "1") == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("max |value|"))
+    argmax = ast.literal_eval(line.split(" at ", 1)[1])
+    assert len(argmax) == 4 and all(type(t) is float for t in argmax)
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spherelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    proc = subprocess.run([sys.executable, "-m", "spherelab.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr

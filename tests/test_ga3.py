@@ -233,3 +233,24 @@ def test_unit_tolerance_boundary():
     assert ga3.bivector_beable(n, 1) is not None
     with pytest.raises(ValueError):
         ga3.bivector_beable(np.array([0.0, 0.0, 1.0 + 1e-8]), 1)
+
+
+def test_batched_beable_product_point_matches_per_row_calls():
+    u, v = random_unit_vectors(RNG, 1000), random_unit_vectors(RNG, 1000)
+    for orientation in (1, -1):
+        f, w = ga3.beable_product_point(u, v, orientation)
+        assert f.shape == (1000,) and w.shape == (1000, 3)
+        for i in range(1000):
+            fi, wi = ga3.beable_product_point(u[i], v[i], orientation)
+            assert isinstance(fi, float)
+            assert abs(f[i] - fi) <= 1e-15
+            assert np.max(np.abs(w[i] - wi)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+def test_beable_product_point_rejects_one_bad_row(bad):
+    u, v = random_unit_vectors(RNG, 100), random_unit_vectors(RNG, 100)
+    assert ga3.beable_product_point(u, v, 1)[0].shape == (100,)
+    v[31] *= bad
+    with pytest.raises(ValueError):
+        ga3.beable_product_point(u, v, 1)

@@ -57,3 +57,20 @@ def test_geometry_helpers():
     theta, phi = polar_angles(n)
     assert theta == pytest.approx(0.7, abs=1e-12)
     assert phi == pytest.approx(1.9, abs=1e-12)
+
+
+def test_require_units_checks_every_row():
+    from spherelab.geometry import random_unit_vectors, require_unit, require_units
+
+    stack = random_unit_vectors(np.random.default_rng(3), 50)
+    assert require_units(stack) is not None
+    for bad in (1.5, np.nan, np.inf):
+        broken = stack.copy()
+        broken[17, 0] *= bad
+        with pytest.raises(ValueError):
+            require_units(broken)
+    with pytest.raises(ValueError):
+        require_units(stack[:, :2])
+    # The one-vector form keeps its exact (dim,) shape contract.
+    with pytest.raises(ValueError):
+        require_unit(stack[:1])

@@ -229,3 +229,54 @@ def test_get_table_lookup():
     assert sphere7.get_table("cyclic-124-mirror").table_id == "cyclic-124-mirror"
     with pytest.raises(ValueError):
         sphere7.get_table("nope")
+
+
+@pytest.mark.parametrize("table", ALL_TABLES, ids=lambda t: t.table_id)
+def test_batched_kernels_match_per_row_calls(table):
+    # Unit directions, as the models use them. A stack may sum in another
+    # order than one row (BLAS picks the kernel by shape), so rows agree to
+    # a few ulp of unit-scale values, not bit for bit.
+    n1, n2, n3, n4 = random_unit_vectors(RNG, 4000, dim=7).reshape(4, 1000, 7)
+    zdev = sphere7.z_deviation(n2, n3, n4, table)
+    assert zdev.shape == (1000, 7)
+    per_row = np.stack([sphere7.z_deviation(a, b, c, table) for a, b, c in zip(n2, n3, n4)])
+    assert np.max(np.abs(zdev - per_row)) <= 1e-15
+
+    lag = sphere7.lagrange_residual(n1, n2, n3, n4, table)
+    assert lag.shape == (1000,)
+    per_row = [sphere7.lagrange_residual(*quad, table) for quad in zip(n1, n2, n3, n4)]
+    assert all(isinstance(r, float) for r in per_row)
+    assert np.max(np.abs(lag - per_row)) <= 1e-15
+
+    pts = RNG.standard_normal((1000, 2, 8))
+    pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+    prod = sphere7._oct_components(pts[:, 0], pts[:, 1], table)
+    assert prod.shape == (1000, 8)
+    for (p, q), row in zip(pts, prod):
+        res = sphere7.oct_product(SevenPoint(p[0], p[1:]), SevenPoint(q[0], q[1:]), table)
+        assert np.max(np.abs(res.components() - row)) <= 1e-15
+
+
+def test_batched_embeddings_match_per_row_calls():
+    dirs = random_unit_vectors(RNG, 4000).reshape(4, 1000, 3)
+    stacked = sphere7.embed_ghz4(*dirs)
+    for i in range(1000):
+        for got, want in zip(stacked, sphere7.embed_ghz4(*dirs[:, i])):
+            assert np.max(np.abs(got[i] - want)) <= 1e-15
+    alpha, delta = RNG.uniform(0, np.pi, 1000), RNG.uniform(0, 2 * np.pi, 1000)
+    stacked = sphere7.embed_ghz3(*dirs[:3], alpha, delta)
+    assert all(v.shape == (1000, 7) for v in stacked)
+    for i in range(1000):
+        for got, want in zip(stacked, sphere7.embed_ghz3(*dirs[:3, i], alpha[i], delta[i])):
+            assert np.max(np.abs(got[i] - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan, np.inf])
+def test_one_bad_row_in_a_stack_raises(bad):
+    dirs = random_unit_vectors(RNG, 400).reshape(4, 100, 3)
+    assert sphere7.embed_ghz4(*dirs)[2].shape == (100, 7)
+    dirs[2, 57, 1] *= bad
+    with pytest.raises(ValueError):
+        sphere7.embed_ghz4(*dirs)
+    with pytest.raises(ValueError):
+        sphere7.embed_ghz3(*dirs[1:], 0.3, 0.4)
