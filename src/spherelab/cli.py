@@ -183,7 +183,8 @@ def _check_config_value(action: argparse.Action, value):
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Apply JSON config values beneath explicit flags, then fill defaults.
-    A value for one of the subcommand's flags must have the type that flag takes."""
+    Every key must name one of the subcommand's flags, and its value must
+    have the type that flag takes."""
     if getattr(args, "config", None):
         try:
             doc = Path(args.config).read_text()
@@ -198,8 +199,9 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         options = _subcommand_options(parser, args.command)
         for key, value in data.items():
             attr = key.replace("-", "_")
-            if attr in options:
-                _check_config_value(options[attr], value)
+            if attr not in options:
+                raise UsageError(f"config key {key!r} is not an option of {args.command}")
+            _check_config_value(options[attr], value)
             current = getattr(args, attr, None)
             if current is None or (current is False and isinstance(value, bool)):
                 setattr(args, attr, value)
@@ -220,6 +222,10 @@ def _parse_float_list(text: str) -> list[float]:
         raise UsageError(f"cannot parse number list {text!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_angles(args) -> list[float]:
     if getattr(args, "angles", None) and getattr(args, "angles_file", None):
         raise UsageError("give either --angles or --angles-file, not both")
@@ -229,8 +235,17 @@ def _load_angles(args) -> list[float]:
         path = Path(args.angles_file)
         if not path.exists():
             raise UsageError(f"angles file not found: {path}")
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"angles file is not valid JSON: {exc}")
+        if not isinstance(data, dict) or not isinstance(data.get("angles"), list):
+            raise UsageError('angles file must hold a JSON object with an "angles" list')
+        if not all(_is_number(x) for x in data["angles"]):
+            raise UsageError(f'angles file: "angles" must hold numbers, got {data["angles"]!r}')
         for key in ("alpha", "delta", "theta"):
+            if key in data and not _is_number(data[key]):
+                raise UsageError(f"angles file: {key!r} must be a number, got {data[key]!r}")
             if key in data and getattr(args, key, None) is None:
                 setattr(args, key, data[key])
         return [float(x) for x in data["angles"]]

@@ -361,3 +361,49 @@ def test_module_entry_point_runs_without_runtime_warning():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"sample": 3, "state": "singlet"}, "sample"),
+    ({"state": "singlet", "samples": 3, "which": "chsh"}, "which"),
+])
+def test_unknown_config_keys_are_rejected(config, key, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "never.json"
+    assert run_cli("compare", "--config", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    {"theta": 0.1},                              # no "angles" key
+    [0, 90, 225, 135],                           # a top-level list
+    {"angles": [0, 90, 225, 135], "theta": "x"},  # a non-numeric theta
+    {"angles": "0,90,225,135"},                  # "angles" not a list
+    {"angles": [0, 90, "225", 135]},             # a non-numeric angle
+])
+def test_malformed_angles_file_exits_two(content, tmp_path, capsys):
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "never.json"
+    assert run_cli("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: angles file") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_angles_file_with_numbers_is_used(tmp_path):
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps({"angles": [0, 90, 225, 135]}))
+    assert run_cli("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg") == 0
+
+
+def test_solve_hardy_json_rows_carry_diverged_count(tmp_path):
+    out = tmp_path / "scan.json"
+    assert run_cli("solve-hardy", "--theta-grid", "0:90:3", "--unit", "deg",
+                   "--starts", "8", "--out", str(out)) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["diverged"] for r in rows] == [0, 0, 0]

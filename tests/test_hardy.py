@@ -24,6 +24,36 @@ def _random_angles(theta=0.3):
     return HardyAngles(theta, *RNG.uniform(0, np.pi, 7))
 
 
+def _reference_product_residuals(theta, x):
+    """Independent math-based copy of the product form, one row at a time."""
+    al, be, ga, de, et, ro, nu = (float(v) for v in x)
+    cos, sin = math.cos, math.sin
+    ct, st = cos(theta), sin(theta)
+    k = 1.0 - 2.0 * st * st
+    s = math.sqrt(1.0 + ct * ct)
+    rne_num = cos(ro) * sin(et) - cos(nu) * cos(et)
+    rne_den = sin(ro) * cos(et) - sin(nu) * sin(et)
+    gde_num = cos(ga) * sin(et) - cos(de) * cos(et)
+    gde_den = sin(de) * sin(et) - sin(ga) * cos(et)
+    anrb_num = cos(al) * cos(nu) - cos(ro) * cos(be)
+    anrb_den = sin(ro) * sin(be) - sin(al) * sin(nu)
+    return np.array([
+        cos(ga) * cos(be) - k * sin(ga) * sin(be),
+        cos(al) * cos(de) - k * sin(al) * sin(de),
+        cos(al + be) + st / s,
+        cos(ro + nu) + cos(ga + de) + st / s,
+        cos(ga + de) - st * ct * ct / s,
+        rne_num - k * rne_den,
+        gde_num - k * gde_den,
+        anrb_num - k * anrb_den,
+        k * rne_den - rne_num,
+        cos(ga - nu) - ct**3 / s,
+        cos(ro - de) - ct**3 / s,
+        sin(al + et) - ct / s,
+        cos(et - be) - ct / s,
+    ])
+
+
 def test_residual_vector_shape_and_labels():
     res = lrmodel.hardy_residuals(_random_angles())
     assert res.shape == (13,)
@@ -169,3 +199,75 @@ def test_unknown_pair_rejected():
     angles = lrmodel.solve_hardy(0.0)
     with pytest.raises(ValueError):
         lrmodel.hardy_joint(angles, ("q+", "b+"))
+
+
+def test_residual_kernel_stack_matches_rows_bit_for_bit():
+    # 10,000 rows: 100 thetas in [0, pi/2], each with a 100-row angle stack
+    # in [-4, 4]; the kernel takes one theta per call.
+    for theta in RNG.uniform(0.0, math.pi / 2, 100):
+        x = RNG.uniform(-4.0, 4.0, (100, 7))
+        stack = lrmodel._product_residuals(x, theta)
+        rows = np.array([lrmodel.hardy_residuals(HardyAngles(theta, *row)) for row in x])
+        assert stack.shape == (100, 13)
+        assert np.array_equal(stack, rows)
+        reference = np.array([_reference_product_residuals(theta, row) for row in x])
+        assert np.max(np.abs(stack - reference)) <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
+def test_complex_step_jacobian_matches_central_differences(theta):
+    x = RNG.uniform(-4.0, 4.0, (50, 7))
+    jac = lrmodel._product_jacobian(x, theta)
+    assert jac.shape == (50, 13, 7)
+    h = 1e-6
+    central = np.stack(
+        [
+            (lrmodel._product_residuals(x + h * e, theta) - lrmodel._product_residuals(x - h * e, theta))
+            / (2 * h)
+            for e in np.eye(7)
+        ],
+        axis=-1,
+    )
+    assert np.max(np.abs(jac - central)) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 20240901])
+def test_scan_certifies_only_theta_zero_across_seeds(seed):
+    rows = lrmodel.scan_hardy(CANONICAL_THETAS, seed=seed)
+    assert [row.solved for row in rows] == [True, False, False, False, False]
+    assert rows[0].angles.residual_norm < 1e-12
+    assert all(row.diverged == 0 for row in rows)
+    assert all(row.to_dict()["diverged"] == 0 for row in rows)
+
+
+def test_solver_makes_no_least_squares_call(monkeypatch):
+    from scipy import optimize
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("least_squares called")
+
+    monkeypatch.setattr(optimize, "least_squares", forbidden)
+    assert lrmodel.solve_hardy(0.0).solved()
+
+
+def test_solver_failure_with_init_carries_best_iterate():
+    init = HardyAngles(0.0, *np.full(7, 0.5))
+    with pytest.raises(lrmodel.HardySolverError) as err:
+        lrmodel.solve_hardy(float("nan"), init=init, starts=2)
+    assert "all 3 starts diverged" in str(err.value)
+    assert err.value.best is not None and err.value.best.theta != err.value.best.theta
+
+
+def test_non_finite_start_is_counted_and_does_not_stop_the_others():
+    init = HardyAngles(0.0, float("nan"), *np.full(6, 0.5))
+    angles = lrmodel.solve_hardy(0.0, init=init)
+    assert angles.diverged == 1
+    assert angles.residual_norm < 1e-12
+
+
+def test_singular_system_does_not_fail_the_stack():
+    a = np.stack([np.eye(7), np.zeros((7, 7)), 2.0 * np.eye(7)])
+    b = np.ones((3, 7))
+    step = lrmodel._batched_solve(a, b)
+    assert np.array_equal(step[0], np.ones(7)) and np.array_equal(step[2], np.full(7, 0.5))
+    assert np.isnan(step[1]).all()
