@@ -4,7 +4,7 @@ solver, and seeded hidden-orientation ensembles."""
 
 import importlib
 
-__all__ = ["cli", "ga3", "geometry", "identities", "lrmodel", "mcsim", "qmref", "sphere7"]
+__all__ = ["cli", "compare", "ga3", "geometry", "identities", "lrmodel", "mcsim", "qmref", "sphere7"]
 
 __version__ = "0.1.0"
 

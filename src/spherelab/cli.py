@@ -1,4 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments, merges --config and
+tolerance overrides, gates, prints summaries and writes artifacts. The
+reports themselves come from the library (spherelab.compare builds the
+`compare` report).
 
 Subcommands:
   identities    algebra/kernel invariant sweeps (all built-in cross tables)
@@ -12,7 +15,7 @@ Subcommands:
 Conventions:
   * every angle-bearing flag is interpreted per --unit {deg, rad}, which is
     mandatory whenever angles are supplied (silent unit mix-ups are the
-    main operational risk);
+    main operational risk), and must be finite;
   * --config FILE supplies defaults from a JSON object, explicit flags win;
   * artifacts are written atomically; --out is resolved against
     $SPHERELAB_OUTDIR when relative;
@@ -20,8 +23,11 @@ Conventions:
   * exit 0 success, 1 a gated comparison exceeded tolerance (the report is
     still written), 2 usage/configuration errors.
 
-GHZ table-mode-vs-pinned-mode rows are measurements, not assertions; they
-never gate the exit code unless --strict-table is given.
+One gating rule: a row gates the exit status iff its tolerance is finite and
+it mismatches. Rows with an infinite tolerance (GHZ table-mode-vs-pinned-mode
+gaps, oriented magnitudes, unsolved Hardy residuals) are measurements. The
+one exception is --strict-table, which holds the table-vs-pinned rows to the
+algebraic tolerance in effect.
 """
 
 from __future__ import annotations
@@ -36,25 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import identities, lrmodel, mcsim, qmref
-from .geometry import coplanar_direction, random_unit_vectors, spherical_direction, to_radians
+from . import compare, identities, lrmodel, mcsim, qmref
+from .compare import DEFAULT_TOLERANCES
+from .geometry import coplanar_direction, spherical_direction, to_radians
 from .lrmodel import ComparisonReport, ComparisonRow, make_row
-from .sphere7 import BUILTIN_TABLES, get_table
+from .sphere7 import BUILTIN_TABLES
 
 OUTDIR_ENV = "SPHERELAB_OUTDIR"
-
-DEFAULT_TOLERANCES = {
-    "algebraic": 1e-12,
-    "solver_residual": 1e-10,
-    "solver_prediction": 1e-8,
-    "sweep_max": 1e-6,
-}
-
-CANONICAL_HARDY_THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
-
-# Labels that never gate the exit status (measurements, not assertions),
-# unless --strict-table upgrades the table-vs-pinned rows.
-NONGATING_MARKERS = ("table_vs_pinned_z", "oriented_magnitude", "unsolved", ".info")
 
 
 class UsageError(Exception):
@@ -226,11 +220,21 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(flag: str, values: list) -> list:
+    """The values, unless one is not a finite number; checked before any numpy
+    math, which would turn NaN or inf into warnings, NaN rows or solver failures."""
+    for value in values:
+        if not (_is_number(value) and math.isfinite(value)):
+            raise UsageError(f"{flag} must be a finite number, got {value!r}")
+    return values
+
+
 def _load_angles(args) -> list[float]:
     if getattr(args, "angles", None) and getattr(args, "angles_file", None):
         raise UsageError("give either --angles or --angles-file, not both")
     if getattr(args, "angles", None):
-        return _parse_float_list(args.angles) if isinstance(args.angles, str) else list(args.angles)
+        values = _parse_float_list(args.angles) if isinstance(args.angles, str) else args.angles
+        return [float(x) for x in _finite("--angles", values)]
     if getattr(args, "angles_file", None):
         path = Path(args.angles_file)
         if not path.exists():
@@ -248,8 +252,13 @@ def _load_angles(args) -> list[float]:
                 raise UsageError(f"angles file: {key!r} must be a number, got {data[key]!r}")
             if key in data and getattr(args, key, None) is None:
                 setattr(args, key, data[key])
-        return [float(x) for x in data["angles"]]
+        return _finite("--angles-file", [float(x) for x in data["angles"]])
     raise UsageError("directions required: pass --angles or --angles-file")
+
+
+def _angle(args, name: str, unit: str) -> float:
+    """The angle flag --NAME in radians; it must be finite."""
+    return float(to_radians(_finite(f"--{name}", [getattr(args, name)])[0], unit))
 
 
 def _require_unit_flag(args) -> str:
@@ -295,199 +304,38 @@ def _tolerances(args) -> dict:
     return tol
 
 
-def _gates(
-    report: ComparisonReport, strict_table: bool, tolerances=DEFAULT_TOLERANCES
-) -> list[ComparisonRow]:
-    """The mismatching rows that affect the exit status; --strict-table holds
+def _gated(report: ComparisonReport, strict_table: bool, tolerances) -> list:
+    """(row, tolerance) for each row that gates the exit status: one whose
+    tolerance is finite. The one exception is --strict-table, which holds
     the table-vs-pinned rows to the algebraic tolerance in effect."""
-    bad = []
-    for row in report.rows:
-        informational = any(marker in row.label for marker in NONGATING_MARKERS)
-        if strict_table and "table_vs_pinned_z" in row.label:
-            if abs(row.residual) > tolerances["algebraic"]:
-                bad.append(row)
-            continue
-        if not informational and row.verdict == "mismatch":
-            bad.append(row)
-    return bad
+    pairs = ((row, tolerances["algebraic"] if strict_table and "table_vs_pinned_z" in row.label
+              else row.tolerance) for row in report.rows)
+    return [(row, tol) for row, tol in pairs if math.isfinite(tol)]
 
 
-def _emit(args, report, gated_mismatches=None) -> int:
+def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
+    """Write the artifact if --out is given and print the summary; for a
+    comparison, exit 1 iff a gated row mismatches (a NaN residual included)."""
     fmt = getattr(args, "format", None) or "json"
     if getattr(args, "out", None):
         path = write_report(report, args.out, fmt)
         print(f"wrote {path}")
     if isinstance(report, ComparisonReport):
-        n_bad = len(gated_mismatches or [])
-        print(f"{len(report.rows)} rows, max |residual| = {report.max_abs_residual():.3e}, "
-              f"gated mismatches: {n_bad}")
-        for row in (gated_mismatches or [])[:20]:
+        gated = _gated(report, getattr(args, "strict_table", False), tolerances)
+        bad = [(row, tol) for row, tol in gated if not abs(row.residual) <= tol]
+        worst = max(gated, default=None, key=lambda item: (
+            math.inf if math.isnan(item[0].residual) else abs(item[0].residual)))
+        peak = (f"max gated |residual| = {abs(worst[0].residual):.3e} ({worst[0].label})"
+                if worst else "no gated rows")
+        print(f"{len(report.rows)} rows, {peak}, gated mismatches: {len(bad)}")
+        for row, tol in bad[:20]:
             print(f"  MISMATCH {row.label}: model={row.model!r} oracle={row.oracle!r} "
-                  f"residual={row.residual:.3e} tol={row.tolerance:g}")
-        return 1 if gated_mismatches else 0
+                  f"residual={row.residual:.3e} tol={tol:g}")
+        return 1 if bad else 0
     if isinstance(report, mcsim.EnsembleReport):
         print(f"scalar_mean={report.scalar_mean!r} sign_channel_mean={report.sign_channel_mean!r} "
               f"trials={report.trials} seed={report.seed}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# comparison builders (shared by `compare` and the acceptance suite)
-# ---------------------------------------------------------------------------
-
-
-def compare_singlet(samples: int = 1000, seed: int = 7, tolerances=None) -> ComparisonReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    rng = np.random.default_rng(seed)
-    a, b = random_unit_vectors(rng, samples), random_unit_vectors(rng, samples)
-    oracle = qmref.expectations(qmref.singlet_state(), np.stack((a, b), axis=1))
-    rows = [
-        make_row(
-            f"singlet[{i}]",
-            lrmodel.singlet_correlation(a[i], b[i]),
-            oracle[i],
-            tol["algebraic"],
-        )
-        for i in range(samples)
-    ]
-    return ComparisonReport(rows, meta={"state": "singlet", "samples": samples, "seed": seed})
-
-
-def compare_chsh(
-    samples: int = 1000, seed: int = 7, sweep_count: int = 100_000, tolerances=None
-) -> ComparisonReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    rng = np.random.default_rng(seed)
-    dirs = random_unit_vectors(rng, 4 * samples).reshape(samples, 4, 3)
-    state = qmref.singlet_state()
-    oracle = qmref.chsh_values(state, dirs)
-    rows = [
-        make_row(
-            f"chsh[{i}]",
-            lrmodel.chsh_model(*dirs[i]),
-            oracle[i],
-            tol["algebraic"],
-        )
-        for i in range(samples)
-    ]
-    sweep = lrmodel.scan_chsh(sweep_count, seed)
-    rows.append(
-        make_row("chsh.sweep_max_abs", sweep["max_abs_value"], lrmodel.TWO_SQRT2,
-                 tol["sweep_max"])
-    )
-    rows.append(
-        make_row(
-            "chsh.bound_at_saturating_quadruple",
-            lrmodel.chsh_model_bound(
-                *(coplanar_direction(t) for t in lrmodel.BOUND_SATURATING_QUADRUPLE)
-            ),
-            lrmodel.TWO_SQRT2,
-            tol["algebraic"],
-        )
-    )
-    best, _ = qmref.maximize_chsh(state, seed=seed)
-    rows.append(make_row("chsh.qm_maximum_singlet", best, lrmodel.TWO_SQRT2,
-                         tol["sweep_max"]))
-    return ComparisonReport(rows, meta={"state": "chsh", "samples": samples, "seed": seed})
-
-
-def compare_hardy(
-    thetas=CANONICAL_HARDY_THETAS,
-    grid_points: int = 21,
-    seed: int = 7,
-    starts: int = 32,
-    tolerances=None,
-) -> ComparisonReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    report = ComparisonReport([], meta={"state": "hardy", "seed": seed, "solver": {}})
-    # Closed forms against the brute-force amplitudes on a theta grid.
-    for theta in np.linspace(0.0, math.pi / 2, grid_points):
-        for s1, s2 in qmref.HARDY_PAIRS:
-            report.rows.append(
-                make_row(
-                    f"hardy_closed_form[{theta:.6f},{s1},{s2}]",
-                    qmref.hardy_amplitude_closed_form(theta, s1, s2),
-                    qmref.hardy_amplitude(theta, s1, s2),
-                    tol["algebraic"],
-                )
-            )
-    # Solver-mediated joint predictions where the angle system certifies.
-    for row in lrmodel.scan_hardy(thetas, starts=starts, seed=seed,
-                                  tol=tol["solver_residual"]):
-        report.meta["solver"][f"{row.theta:.6f}"] = row.to_dict()
-        if row.solved:
-            for s1, s2 in lrmodel.HEADLINE_HARDY_PAIRS:
-                report.rows.append(
-                    make_row(
-                        f"hardy_model[{row.theta:.6f},{s1},{s2}]",
-                        lrmodel.hardy_joint(row.angles, (s1, s2)),
-                        qmref.hardy_amplitude(row.theta, s1, s2),
-                        tol["solver_prediction"],
-                    )
-                )
-        else:
-            report.rows.append(
-                make_row(
-                    f"hardy_model.unsolved[{row.theta:.6f}]",
-                    row.angles.residual_norm,
-                    0.0,
-                    float("inf"),
-                )
-            )
-    return report
-
-
-def _compare_ghz(which: str, samples: int, seed: int, table, tolerances=None) -> ComparisonReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    rng = np.random.default_rng(seed)
-    report = ComparisonReport([], meta={"state": which, "samples": samples, "seed": seed,
-                                        "table": get_table(table).table_id})
-    for i in range(samples):
-        if which == "ghz4":
-            dirs = random_unit_vectors(rng, 4)
-            _, sub = lrmodel.ghz4_model(*dirs, mode="pinned_z", table=table,
-                                        tol=tol["algebraic"])
-        else:
-            dirs = random_unit_vectors(rng, 3)
-            alpha, delta = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
-            _, sub = lrmodel.ghz3_model(*dirs, alpha, delta, mode="pinned_z", table=table,
-                                        tol=tol["algebraic"])
-        report.rows.extend(
-            ComparisonRow(f"{r.label}[{i}]", r.model, r.oracle, r.residual, r.tolerance, r.verdict)
-            for r in sub.rows
-        )
-    return report
-
-
-def compare_ghz4(samples: int = 500, seed: int = 7, table=None, tolerances=None) -> ComparisonReport:
-    return _compare_ghz("ghz4", samples, seed, table, tolerances)
-
-
-def compare_ghz3(samples: int = 500, seed: int = 7, table=None, tolerances=None) -> ComparisonReport:
-    return _compare_ghz("ghz3", samples, seed, table, tolerances)
-
-
-def build_comparison(
-    state: str, samples: int, seed: int, table=None, tolerances=None
-) -> ComparisonReport:
-    if state == "singlet":
-        return compare_singlet(samples, seed, tolerances)
-    if state == "chsh":
-        return compare_chsh(samples, seed, tolerances=tolerances)
-    if state == "hardy":
-        return compare_hardy(seed=seed, tolerances=tolerances)
-    if state == "ghz4":
-        return compare_ghz4(samples, seed, table, tolerances)
-    if state == "ghz3":
-        return compare_ghz3(samples, seed, table, tolerances)
-    if state == "all":
-        merged = ComparisonReport([], meta={"state": "all", "samples": samples, "seed": seed})
-        for sub in ("singlet", "chsh", "hardy", "ghz3", "ghz4"):
-            part = build_comparison(sub, samples, seed, table, tolerances)
-            merged.rows.extend(part.rows)
-            merged.meta[sub] = part.meta
-        return merged
-    raise UsageError(f"unknown state {state!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +346,7 @@ def build_comparison(
 def cmd_identities(args) -> int:
     tables = None if args.table in (None, "all") else [args.table]
     report = identities.full_identity_report(samples=args.samples, seed=args.seed, tables=tables)
-    return _emit(args, report, _gates(report, strict_table=False))
+    return _emit(args, report)
 
 
 def cmd_qm(args) -> int:
@@ -508,7 +356,7 @@ def cmd_qm(args) -> int:
     if args.state == "hardy":
         if args.theta is None:
             raise UsageError("--theta required for the hardy state")
-        theta = float(to_radians(args.theta, _require_unit_flag(args)))
+        theta = _angle(args, "theta", _require_unit_flag(args))
         for s1, s2 in qmref.HARDY_PAIRS:
             rows.append(
                 make_row(
@@ -535,8 +383,7 @@ def cmd_qm(args) -> int:
         else:
             if args.alpha is None or args.delta is None:
                 raise UsageError("--alpha and --delta required for the ghz3 state")
-            alpha = float(to_radians(args.alpha, unit))
-            delta = float(to_radians(args.delta, unit))
+            alpha, delta = _angle(args, "alpha", unit), _angle(args, "delta", unit)
             state = qmref.ghz3_state(alpha, delta)
             closed = qmref.ghz3_expectation_closed_form(theta_ang, phi_ang, alpha, delta)
             meta.update(alpha=alpha, delta=delta)
@@ -546,7 +393,7 @@ def cmd_qm(args) -> int:
     else:
         raise UsageError(f"unknown state {args.state!r}")
     report = ComparisonReport(rows, meta=meta)
-    return _emit(args, report, _gates(report, strict_table=False))
+    return _emit(args, report)
 
 
 def cmd_model(args) -> int:
@@ -555,7 +402,7 @@ def cmd_model(args) -> int:
     if which == "hardy":
         if args.theta is None:
             raise UsageError("--theta required for the hardy model")
-        theta = float(to_radians(args.theta, _require_unit_flag(args)))
+        theta = _angle(args, "theta", _require_unit_flag(args))
         angles = lrmodel.solve_hardy(theta, starts=args.starts, seed=args.seed)
         report = lrmodel.hardy_report(angles, tol_joint=tol["solver_prediction"],
                                       swapped_b_minus=not args.unswapped_b_minus)
@@ -574,7 +421,7 @@ def cmd_model(args) -> int:
                 else r
                 for r in report.rows
             ]
-        return _emit(args, report, _gates(report, strict_table=False))
+        return _emit(args, report)
 
     if which == "singlet":
         values = _load_angles(args)
@@ -589,7 +436,7 @@ def cmd_model(args) -> int:
             ],
             meta={"command": "model", "which": "singlet"},
         )
-        return _emit(args, report, _gates(report, strict_table=False))
+        return _emit(args, report)
 
     if which == "chsh":
         values = _load_angles(args)
@@ -606,7 +453,7 @@ def cmd_model(args) -> int:
             ],
             meta={"command": "model", "which": "chsh"},
         )
-        return _emit(args, report, _gates(report, strict_table=False))
+        return _emit(args, report)
 
     if which in ("ghz3", "ghz4"):
         n_sites = 3 if which == "ghz3" else 4
@@ -616,14 +463,14 @@ def cmd_model(args) -> int:
         if which == "ghz3":
             if args.alpha is None or args.delta is None:
                 raise UsageError("--alpha and --delta required for the ghz3 model")
-            alpha, delta = (float(to_radians(v, unit)) for v in (args.alpha, args.delta))
+            alpha, delta = _angle(args, "alpha", unit), _angle(args, "delta", unit)
             value, report = lrmodel.ghz3_model(*dirs, alpha, delta, mode=args.mode,
                                                table=args.table, tol=tol["algebraic"])
         else:
             value, report = lrmodel.ghz4_model(*dirs, mode=args.mode, table=args.table,
                                                tol=tol["algebraic"])
         report.meta["value"] = value
-        return _emit(args, report, _gates(report, args.strict_table, tol))
+        return _emit(args, report, tol)
 
     raise UsageError(f"unknown model {which!r}")
 
@@ -698,7 +545,7 @@ def _experiment_from_args(args):
         if args.alpha is None or args.delta is None:
             raise UsageError("--alpha and --delta required for the ghz3 experiment")
         dirs = _directions_from_pairs(values, unit, 3)
-        alpha, delta = (float(to_radians(v, unit)) for v in (args.alpha, args.delta))
+        alpha, delta = _angle(args, "alpha", unit), _angle(args, "delta", unit)
         return mcsim.Ghz3Experiment(*dirs, alpha, delta)
     raise UsageError(f"unknown experiment {exp!r}")
 
@@ -718,8 +565,8 @@ def cmd_mc(args) -> int:
 
 def cmd_compare(args) -> int:
     tol = _tolerances(args)
-    report = build_comparison(args.state, args.samples, args.seed, args.table, tol)
-    return _emit(args, report, _gates(report, args.strict_table, tol))
+    report = compare.build_comparison(args.state, args.samples, args.seed, args.table, tol)
+    return _emit(args, report, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import ga3, lrmodel, sphere7
-from .geometry import coplanar_direction, random_unit_vectors
+from .compare import DEFAULT_TOLERANCES, chsh_sweep_rows
+from .geometry import random_unit_vectors
 from .lrmodel import ComparisonReport, make_row
 
 ALGEBRA_TOL = 1e-12
@@ -242,17 +243,8 @@ def sphere7_identity_report(
 def chsh_sweep_report(count: int = 100_000, seed: int = 2) -> ComparisonReport:
     """Model CHSH sweep: the supremum against 2 sqrt(2), the bound's range,
     and the measured bound-violation statistics (reported, not asserted)."""
-    sweep = lrmodel.scan_chsh(count, seed)
-    rows = [
-        make_row("chsh.sweep_max_abs", sweep["max_abs_value"], lrmodel.TWO_SQRT2, 1e-6),
-        make_row(
-            "chsh.bound_at_saturating_quadruple",
-            lrmodel.chsh_model_bound(
-                *(coplanar_direction(t) for t in lrmodel.BOUND_SATURATING_QUADRUPLE)
-            ),
-            lrmodel.TWO_SQRT2,
-            1e-12,
-        ),
+    rows, sweep = chsh_sweep_rows(count, seed, DEFAULT_TOLERANCES)
+    rows += [
         make_row("chsh.bound_max", float(np.max(sweep["bounds"])), lrmodel.TWO_SQRT2, 1e-12),
         make_row("chsh.bound_min_nonnegative", float(min(0.0, np.min(sweep["bounds"]))), 0.0, 0.0),
         make_row("chsh.bound_violation_fraction", sweep["bound_violation_fraction"], 0.0, float("inf")),

@@ -763,24 +763,69 @@ def hardy_report(
 
 GHZ_MODES = ("pinned_z", "table")
 
+ALGEBRA_ROW_TOL = 1e-12
 
-def _pinned_z(prod_z: float, e7_term: float) -> np.ndarray:
-    z = np.zeros(7)
-    z[2] = prod_z
-    z[6] = e7_term
-    return z
+
+def _inner(x, y) -> np.ndarray:
+    """x . y over the last axis, kept as a length-1 axis. Each row is one BLAS
+    inner product, the same bits as np.dot on that row, so the one-tuple
+    wrappers below give the values the per-tuple pipeline gave."""
+    return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0]
+
+
+def ghz_kernel(embedded, prod_z, table: CrossTable | None = None):
+    """The grouped product (v1 v2)(v3 v4) of an embedded (..., 4, 7) stack.
+
+    Returns (pinned, table, lagrange, deviation): the dot-product expansion
+    with the pinned anisotropy vector Z = e3 * prod_z, the scalar part
+    (v1.v2)(v3.v4) - (v1 x v2).(v3 x v4) under the cross table, the same
+    scalar through the generalized Lagrange identity, and the oriented
+    deviation vector (v3.v4)(v1 x v2) + (v1.v2)(v3 x v4) - (v1 x v2) x (v3 x v4).
+    The three values have the stack's leading shape, the deviation one more
+    axis of 7; prod_z broadcasts against the leading shape.
+    """
+    v1, v2, v3, v4 = np.moveaxis(np.asarray(embedded, dtype=float), -2, 0)
+    d12, d34 = _inner(v1, v2), _inner(v3, v4)
+    c12, c34 = cross7(v1, v2, table), cross7(v3, v4, table)
+    expansion = _inner(v1, v3) * _inner(v2, v4) - _inner(v1, v4) * _inner(v2, v3)
+    # v1 . Z meets only v1's e3 slot. An e7 term in Z would never contribute,
+    # because v1 (N1 for ghz4, the reference point for ghz3) has an empty e7 slot.
+    pinned = d12 * d34 - (expansion + v1[..., 2:3] * np.asarray(prod_z)[..., None])
+    value_table = d12 * d34 - _inner(c12, c34)
+    lagrange = d12 * d34 - (expansion + _inner(v1, z_deviation(v2, v3, v4, table)))
+    deviation = d34 * c12 + d12 * c34 - cross7(c12, c34, table)
+    return pinned[..., 0], value_table[..., 0], lagrange[..., 0], deviation
+
+
+def ghz_rows(prefix: str, oracle, values, tol: float, indexed: bool = False) -> list:
+    """The four comparison rows of each tuple of a ghz_kernel result, in tuple
+    order; labels get the tuple index as a [i] suffix when indexed."""
+    pinned, value_table, lagrange, deviation = values
+    magnitude = np.sqrt(_inner(deviation, deviation)[..., 0])
+    rows = []
+    for i in range(len(pinned)):
+        at = f"[{i}]" if indexed else ""
+        rows += [
+            make_row(f"{prefix}.pinned_z_vs_oracle{at}", pinned[i], oracle[i], tol),
+            make_row(f"{prefix}.table_vs_lagrange{at}", value_table[i], lagrange[i], tol),
+            # Whether any concrete table realizes the pinned-Z value is an open
+            # measurement; reported per tuple, not gated.
+            make_row(f"{prefix}.table_vs_pinned_z{at}", value_table[i], pinned[i], float("inf")),
+            make_row(f"{prefix}.oriented_magnitude{at}", magnitude[i], 0.0, float("inf")),
+        ]
+    return rows
+
+
+def _ghz_point(embedded, table) -> DecompositionResult:
+    _, f, _, oriented = ghz_kernel(np.stack(embedded), 0.0, table)
+    return DecompositionResult(f, float(np.linalg.norm(oriented)), oriented, "S7")
 
 
 def ghz4_product_point(n1, n2, n3, n4, table: CrossTable | None = None) -> DecompositionResult:
     """Grouped product point of the four embedded beables: scalar
     (N1.N2)(N3.N4) - (N1xN2).(N3xN4) and the oriented deviation vector
     (N3.N4)(N1xN2) + (N1.N2)(N3xN4) - (N1xN2)x(N3xN4)."""
-    N1, N2, N3, N4 = embed_ghz4(n1, n2, n3, n4)
-    c12, c34 = cross7(N1, N2, table), cross7(N3, N4, table)
-    d12, d34 = float(np.dot(N1, N2)), float(np.dot(N3, N4))
-    f = d12 * d34 - float(np.dot(c12, c34))
-    oriented = d34 * c12 + d12 * c34 - cross7(c12, c34, table)
-    return DecompositionResult(f, float(np.linalg.norm(oriented)), oriented, "S7")
+    return _ghz_point(embed_ghz4(n1, n2, n3, n4), table)
 
 
 def ghz3_product_point(
@@ -788,108 +833,40 @@ def ghz3_product_point(
 ) -> DecompositionResult:
     """Same as ghz4_product_point with the fixed reference point prepended:
     the group is (P A)(B C)."""
-    N0, N1, N2, N3 = embed_ghz3(n1, n2, n3, alpha, delta)
-    c01, c23 = cross7(N0, N1, table), cross7(N2, N3, table)
-    d01, d23 = float(np.dot(N0, N1)), float(np.dot(N2, N3))
-    f = d01 * d23 - float(np.dot(c01, c23))
-    oriented = d23 * c01 + d01 * c23 - cross7(c01, c23, table)
-    return DecompositionResult(f, float(np.linalg.norm(oriented)), oriented, "S7")
+    return _ghz_point(embed_ghz3(n1, n2, n3, alpha, delta), table)
 
 
-ALGEBRA_ROW_TOL = 1e-12
+def _ghz_model(prefix, embedded, prod_z, oracle, mode, table, tol, meta):
+    if mode not in GHZ_MODES:
+        raise ValueError(f"mode must be one of {GHZ_MODES}, got {mode!r}")
+    table = get_table(table)
+    values = ghz_kernel(np.stack(embedded)[None], prod_z, table)
+    report = ComparisonReport(ghz_rows(prefix, [oracle], values, tol),
+                              meta={"mode": mode, "table": table.table_id, **meta})
+    return float(values[0 if mode == "pinned_z" else 1][0]), report
 
 
-def _ghz_values(embedded, pinned_prod_z, table, pinned_e7_term):
-    """(pinned value, table value, Lagrange-route table value, deviation |N|)
-    for a 4-tuple of embedded vectors grouped (v1 v2)(v3 v4)."""
-    v1, v2, v3, v4 = embedded
-    d12, d34 = float(np.dot(v1, v2)), float(np.dot(v3, v4))
-    d13, d24 = float(np.dot(v1, v3)), float(np.dot(v2, v4))
-    d14, d23 = float(np.dot(v1, v4)), float(np.dot(v2, v3))
-    value_pinned = d12 * d34 - (d13 * d24 - d14 * d23 + float(np.dot(v1, _pinned_z(pinned_prod_z, pinned_e7_term))))
-    c12, c34 = cross7(v1, v2, table), cross7(v3, v4, table)
-    value_table = d12 * d34 - float(np.dot(c12, c34))
-    value_lagrange = d12 * d34 - (
-        d13 * d24 - d14 * d23 + float(np.dot(v1, z_deviation(v2, v3, v4, table)))
-    )
-    deviation = d34 * c12 + d12 * c34 - cross7(c12, c34, table)
-    return value_pinned, value_table, value_lagrange, float(np.linalg.norm(deviation))
-
-
-def _ghz_report(prefix, oracle, value_pinned, value_table, value_lagrange, deviation, meta, tol):
-    rows = [
-        make_row(f"{prefix}.pinned_z_vs_oracle", value_pinned, oracle, tol),
-        make_row(f"{prefix}.table_vs_lagrange", value_table, value_lagrange, tol),
-        # Whether any concrete table realizes the pinned-Z value is an open
-        # measurement; reported per tuple, not gated.
-        make_row(f"{prefix}.table_vs_pinned_z", value_table, value_pinned, float("inf")),
-        make_row(f"{prefix}.oriented_magnitude", deviation, 0.0, float("inf")),
-    ]
-    return ComparisonReport(rows, meta=meta)
-
-
-def ghz4_model(
-    n1,
-    n2,
-    n3,
-    n4,
-    mode: str = "pinned_z",
-    table: CrossTable | str | None = None,
-    pinned_e7_term: float = 0.0,
-    tol: float = ALGEBRA_ROW_TOL,
-) -> tuple[float, ComparisonReport]:
+def ghz4_model(n1, n2, n3, n4, mode: str = "pinned_z", table: CrossTable | str | None = None,
+               tol: float = ALGEBRA_ROW_TOL) -> tuple[float, ComparisonReport]:
     """Four-particle model value plus its cross-check report.
 
-    pinned_z mode: dot-product expansion with Z = e3 * (n2z n3z n4z)
-    (+ optional e7 component, which never contributes because the e7 slot
-    of N1 is empty); reproduces the quantum closed form identically.
+    pinned_z mode: dot-product expansion with Z = e3 * (n2z n3z n4z);
+    reproduces the quantum closed form identically.
     table mode: direct cross-product evaluation under the given table; it
     always agrees with its own Lagrange-identity rewrite, and its residual
     against pinned_z mode is reported per tuple.
     """
-    if mode not in GHZ_MODES:
-        raise ValueError(f"mode must be one of {GHZ_MODES}, got {mode!r}")
-    table = get_table(table)
-    embedded = embed_ghz4(n1, n2, n3, n4)
-    prod_z = float(n2[2]) * float(n3[2]) * float(n4[2])
-    vp, vt, vl, dev = _ghz_values(embedded, prod_z, table, pinned_e7_term)
     oracle = qmref.tensor_expectation(qmref.ghz4_state(), qmref.SpinObservable((n1, n2, n3, n4)))
-    report = _ghz_report(
-        "ghz4", oracle, vp, vt, vl, dev, {"mode": mode, "table": table.table_id}, tol
-    )
-    return (vp if mode == "pinned_z" else vt), report
+    return _ghz_model("ghz4", embed_ghz4(n1, n2, n3, n4), n2[2] * n3[2] * n4[2], oracle,
+                      mode, table, tol, {})
 
 
-def ghz3_model(
-    n1,
-    n2,
-    n3,
-    alpha: float,
-    delta: float,
-    mode: str = "pinned_z",
-    table: CrossTable | str | None = None,
-    pinned_e7_term: float = 0.0,
-    tol: float = ALGEBRA_ROW_TOL,
-) -> tuple[float, ComparisonReport]:
+def ghz3_model(n1, n2, n3, alpha: float, delta: float, mode: str = "pinned_z",
+               table: CrossTable | str | None = None,
+               tol: float = ALGEBRA_ROW_TOL) -> tuple[float, ComparisonReport]:
     """Three-particle model value plus report; the reference point carries
     (alpha, delta) and the pinned Z is e3 * (n1z n2z n3z)."""
-    if mode not in GHZ_MODES:
-        raise ValueError(f"mode must be one of {GHZ_MODES}, got {mode!r}")
-    table = get_table(table)
-    embedded = embed_ghz3(n1, n2, n3, alpha, delta)
-    prod_z = float(n1[2]) * float(n2[2]) * float(n3[2])
-    vp, vt, vl, dev = _ghz_values(embedded, prod_z, table, pinned_e7_term)
-    oracle = qmref.tensor_expectation(
-        qmref.ghz3_state(alpha, delta), qmref.SpinObservable((n1, n2, n3))
-    )
-    report = _ghz_report(
-        "ghz3",
-        oracle,
-        vp,
-        vt,
-        vl,
-        dev,
-        {"mode": mode, "table": table.table_id, "alpha": alpha, "delta": delta},
-        tol,
-    )
-    return (vp if mode == "pinned_z" else vt), report
+    oracle = qmref.tensor_expectation(qmref.ghz3_state(alpha, delta),
+                                      qmref.SpinObservable((n1, n2, n3)))
+    return _ghz_model("ghz3", embed_ghz3(n1, n2, n3, alpha, delta), n1[2] * n2[2] * n3[2],
+                      oracle, mode, table, tol, {"alpha": alpha, "delta": delta})

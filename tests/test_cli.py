@@ -1,6 +1,7 @@
 """Command-line front end checks: exit codes, artifact determinism,
 atomic writes, unit handling, config merging."""
 
+import argparse
 import ast
 import json
 import os
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from spherelab import cli, lrmodel, mcsim
+from spherelab import cli, compare, lrmodel, mcsim
 from spherelab.lrmodel import ComparisonReport
 
 
@@ -248,7 +249,7 @@ def test_write_report_handles_all_types(tmp_path):
 
 
 def test_comparison_json_round_trip_through_disk(tmp_path):
-    report = cli.compare_singlet(samples=5, seed=1)
+    report = compare.compare_singlet(samples=5, seed=1)
     path = cli.write_report(report, tmp_path / "round.json", "json")
     back = ComparisonReport.from_json(path.read_text())
     assert back.rows == report.rows and back.meta == report.meta
@@ -407,3 +408,93 @@ def test_solve_hardy_json_rows_carry_diverged_count(tmp_path):
                    "--starts", "8", "--out", str(out)) == 0
     rows = json.loads(out.read_text())["rows"]
     assert [r["diverged"] for r in rows] == [0, 0, 0]
+
+
+GHZ3_ANGLES = ("--angles", "30,10,70,20,110,30", "--unit", "deg")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("model", "--which", "hardy", "--theta", "nan", "--unit", "rad"), "--theta"),
+    (("qm", "--state", "hardy", "--theta", "inf", "--unit", "deg"), "--theta"),
+    (("model", "--which", "ghz3", "--alpha", "nan", "--delta", "40") + GHZ3_ANGLES, "--alpha"),
+    (("qm", "--state", "ghz3", "--alpha", "20", "--delta=-inf") + GHZ3_ANGLES, "--delta"),
+    (("mc", "--experiment", "ghz3", "--alpha", "nan", "--delta", "40", "--trials", "10")
+     + GHZ3_ANGLES, "--alpha"),
+    (("model", "--which", "chsh", "--angles", "0,90,45,inf", "--unit", "deg"), "--angles"),
+    (("mc", "--experiment", "singlet", "--angles", "0,0,nan,0", "--unit", "deg",
+      "--trials", "10"), "--angles"),
+])
+def test_non_finite_angles_exit_two(argv, flag, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, flag", [
+    ('{"angles": [0, 90, NaN, 135]}', "--angles-file"),
+    ('{"angles": [0, 90, 225, Infinity]}', "--angles-file"),
+])
+def test_non_finite_angles_file_exits_two(content, flag, tmp_path, capsys):
+    path = tmp_path / "angles.json"
+    path.write_text(content)
+    assert run_cli("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_non_finite_angle_from_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"theta": NaN}')
+    assert run_cli("model", "--which", "hardy", "--unit", "rad", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --theta ") and err.count("\n") == 1
+
+
+def _row(label, residual, tolerance):
+    verdict = "match" if abs(residual) <= tolerance else "mismatch"
+    return lrmodel.ComparisonRow(label, residual, 0.0, residual, tolerance, verdict)
+
+
+def _emit(rows, strict_table=False, tolerances=compare.DEFAULT_TOLERANCES):
+    args = argparse.Namespace(out=None, format=None, strict_table=strict_table)
+    return cli._emit(args, ComparisonReport(rows), tolerances)
+
+
+def test_a_finite_tolerance_mismatch_gates(capsys):
+    assert _emit([_row("a", 1e-14, 1e-12), _row("b", 1e-9, 1e-12)]) == 1
+    out = capsys.readouterr().out
+    assert "gated mismatches: 1" in out and "MISMATCH b:" in out
+
+
+def test_infinite_tolerance_rows_never_gate(capsys):
+    rows = [_row("a", 1e-14, 1e-12), _row("x.measured", float("nan"), float("inf")),
+            _row("y.measured", 5.0, float("inf"))]
+    assert rows[1].verdict == "mismatch"
+    assert _emit(rows) == 0
+    # The summary reports the gated rows, not the measurements.
+    assert "max gated |residual| = 1.000e-14 (a), gated mismatches: 0" in capsys.readouterr().out
+
+
+def test_nan_residual_in_a_gated_row_gates(capsys):
+    assert _emit([_row("a", 1e-14, 1e-12), _row("b", float("nan"), 1e-12)]) == 1
+    assert "max gated |residual| = nan (b)" in capsys.readouterr().out
+
+
+def test_strict_table_gates_the_table_vs_pinned_rows(capsys):
+    rows = [_row("ghz4.pinned_z_vs_oracle[0]", 1e-16, 1e-12),
+            _row("ghz4.table_vs_pinned_z[0]", 0.2, float("inf"))]
+    assert _emit(rows) == 0
+    assert _emit(rows, strict_table=True) == 1
+    assert "MISMATCH ghz4.table_vs_pinned_z[0]:" in capsys.readouterr().out
+    loose = dict(compare.DEFAULT_TOLERANCES, algebraic=1.0)
+    assert _emit(rows, strict_table=True, tolerances=loose) == 0
+
+
+def test_summary_reports_the_largest_gated_residual(capsys):
+    # The Jacobiator norm (about 10) is a measurement; the summary skips it.
+    assert run_cli("identities", "--samples", "5", "--table", "cyclic-124") == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert "max gated |residual| = " in line and "jacobiator" not in line
+    assert line.endswith("gated mismatches: 0")

@@ -229,13 +229,6 @@ def test_ghz4_table_vs_pinned_residual_reported_not_gated():
     assert abs(row.residual) > 1e-6  # generically nonzero, duly recorded
 
 
-def test_ghz4_pinned_e7_term_is_inert():
-    dirs = random_unit_vectors(RNG, 4)
-    v0, _ = lrmodel.ghz4_model(*dirs, mode="pinned_z", pinned_e7_term=0.0)
-    v1, _ = lrmodel.ghz4_model(*dirs, mode="pinned_z", pinned_e7_term=3.7)
-    assert v0 == v1
-
-
 def test_ghz3_pinned_z_special_cases():
     z = np.array([0.0, 0.0, 1.0])
     value, _ = lrmodel.ghz3_model(z, z, z, alpha=0.0, delta=0.9, mode="pinned_z")
