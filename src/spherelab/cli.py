@@ -21,7 +21,8 @@ Conventions:
     $SPHERELAB_OUTDIR when relative;
   * identical flags + seed produce byte-identical artifacts (no timestamps);
   * exit 0 success, 1 a gated comparison exceeded tolerance (the report is
-    still written), 2 usage/configuration errors.
+    still written), 2 usage/configuration errors, 3 an internal error (one
+    line, no traceback).
 
 One gating rule: a row gates the exit status iff its tolerance is finite and
 it mismatches. Rows with an infinite tolerance (GHZ table-mode-vs-pinned-mode
@@ -144,7 +145,8 @@ COMMAND_DEFAULTS = {
 
 # Counts that must be >= 1. They are checked after config merging, so a value
 # from --config (whose type is checked like a flag's) is held to the same rule.
-POSITIVE_OPTIONS = {"identities": ("samples",), "compare": ("samples",), "mc": ("workers",)}
+POSITIVE_OPTIONS = {"identities": ("samples",), "compare": ("samples",), "mc": ("workers",),
+                    "model": ("starts",), "solve-hardy": ("starts",)}
 
 # JSON types a --config value may have, by what its flag parses to. An int
 # flag takes an integer that is not a boolean, a float flag any number;
@@ -673,6 +675,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never a gated mismatch
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -571,6 +571,47 @@ def _batched_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
+# Joe-Kuo primitive polynomials and initial direction numbers of Sobol'
+# dimensions 2..7 (dimension 1 is van der Corput), with 30-bit points.
+_SOBOL_POLYS = (3, 7, 11, 13, 19, 25)
+_SOBOL_VINIT = ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13))
+_SOBOL_BITS = 30
+
+
+def _sobol_points(n: int, seed: int) -> np.ndarray:
+    """The first n points of the 7-dimensional Sobol' sequence in [0, 1)^7,
+    scrambled by a random linear matrix (LMS) and a digital shift drawn from
+    default_rng(seed); the same points as scipy.stats.qmc.Sobol(d=7,
+    scramble=True, seed=seed).random(n), bit for bit."""
+    bits = _SOBOL_BITS
+    v = np.ones((7, bits), dtype=np.int64)
+    for d, (poly, init) in enumerate(zip(_SOBOL_POLYS, _SOBOL_VINIT), start=1):
+        m = len(init)  # the degree of poly
+        v[d, :m] = init
+        for j in range(m, bits):  # Bratley and Fox's recurrence
+            new = v[d, j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    new ^= v[d, j - k - 1] << (k + 1)
+            v[d, j] = new
+    powers = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
+    v *= powers  # m_j / 2^(j + 1) as a 30-bit fraction
+
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(7, bits), dtype=np.uint32) @ powers[::-1]
+    ltm = np.tril(rng.integers(2, size=(7, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # With bits written most significant first, the scramble is a matrix
+    # product mod 2: column j of each dimension becomes ltm @ bits(v[j]).
+    msb_first = (v[..., None] >> np.arange(bits - 1, -1, -1)) & 1
+    v = ((msb_first @ np.swapaxes(ltm, 1, 2)) % 2) @ powers
+
+    # Gray-code order: point i flips the direction of i's lowest set bit.
+    lowest = [(i & -i).bit_length() - 1 for i in range(1, n)]
+    quasi = np.bitwise_xor.accumulate(np.vstack([shift, v[:, lowest].T]), axis=0)[:n]
+    return quasi * 2.0**-bits
+
+
 def solve_hardy(
     theta: float,
     init: HardyAngles | None = None,
@@ -582,18 +623,16 @@ def solve_hardy(
 
     One batched Levenberg-Marquardt iteration (exact complex-step Jacobian)
     runs from `starts` scrambled-Sobol points in (0, pi)^7, plus `init`
-    first when given (the continuation hook used by theta scans); scipy is
-    used only for the Sobol start set.  Returns the best iterate with its
-    certified residual_norm and the count of starts whose cost went
-    non-finite; the caller decides what residual_norm it will accept.
-    Ties within 1e-12 of the best norm break toward continuity with `init`,
-    then toward the smallest angle-vector norm.
+    first when given (the continuation hook used by theta scans).  Returns
+    the best iterate with its certified residual_norm and the count of
+    starts whose cost went non-finite; the caller decides what
+    residual_norm it will accept.  Ties within 1e-12 of the best norm break
+    toward continuity with `init`, then toward the smallest angle-vector
+    norm.  Raises ValueError when starts is negative or no start is left.
     """
-    # scipy takes about a second to import; only the start set needs it.
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=7, scramble=True, seed=seed)
-    x0s = np.pi * sampler.random(starts)
+    if starts < 0 or (starts == 0 and init is None):
+        raise ValueError(f"starts must be at least {1 if init is None else 0}, got {starts!r}")
+    x0s = np.pi * _sobol_points(starts, seed)
     if init is not None:
         x0s = np.vstack([init.as_array(), x0s])
 

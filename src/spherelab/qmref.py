@@ -275,38 +275,54 @@ def chsh_qm(state: StateVector, a, ap, b, bp) -> float:
     return float(chsh_values(state, [[a, ap, b, bp]])[0])
 
 
+# Coordinate sweeps of maximize_chsh stop once no start gains more than
+# _CHSH_TOL in a sweep; the sweep cap is only a backstop.
+_CHSH_TOL = 1e-15
+_CHSH_MAX_SWEEPS = 200
+# The three offsets along one angle that fix its sinusoid.
+_CHSH_PHIS = np.array([0.0, np.pi / 2, np.pi])
+
+
 def maximize_chsh(state: StateVector, starts: int = 12, seed: int = 0):
     """Numerical supremum of |CHSH| over coplanar angle quadruples.
 
-    Multi-start local search (signed max and min separately, then the
-    larger magnitude).  Returns (value, angles) with value = sup |CHSH|
-    and angles the arg-max quadruple (radians, x-z plane).
+    Multi-start coordinate ascent on sgn * CHSH for both signs (the two
+    structured starts plus `starts` random quadruples per sign).  Each
+    angle enters the string only through sigma.n(t), which is linear in
+    (cos t, sin t), so along one angle sgn * CHSH(t + phi e_i) is exactly
+    C + A cos phi + B sin phi: the oracle values at phi = 0, pi/2 and pi fix
+    A, B and C, and phi = atan2(B, A) is the exact maximizer along that
+    angle.  One chsh_values call per angle serves every start of both
+    signs.  Returns (value, angles) with value = sup |CHSH|, evaluated by
+    the oracle at the arg-max quadruple, and angles that quadruple
+    (radians in [0, 2 pi), x-z plane).
     """
     if state.n_qubits != 2:
         raise ValueError("CHSH needs a 2-qubit state")
-    # scipy takes about a second to import; only the CHSH search needs it.
-    from scipy import optimize
-
-    def chsh_of(t):
-        return chsh_values(state, coplanar_direction(t)[None])[0]
-
     rng = np.random.default_rng(seed)
-    structured = [
-        np.array([0.0, np.pi / 2, np.pi / 4, -np.pi / 4]),
-        np.array([0.0, np.pi / 2, 5 * np.pi / 4, 3 * np.pi / 4]),
-    ]
-    best_val, best_t = 0.0, np.zeros(4)
-    for sgn in (1.0, -1.0):
-        for t0 in structured + [rng.uniform(0, 2 * np.pi, 4) for _ in range(starts)]:
-            res = optimize.minimize(
-                lambda t: -sgn * chsh_of(t),
-                t0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-            )
-            if -res.fun > best_val:
-                best_val, best_t = -res.fun, res.x
-    return best_val, np.mod(best_t, 2 * np.pi)
+    structured = np.array([[0.0, np.pi / 2, np.pi / 4, -np.pi / 4],
+                           [0.0, np.pi / 2, 5 * np.pi / 4, 3 * np.pi / 4]])
+    draws = rng.uniform(0, 2 * np.pi, (2, starts, 4))
+    t = np.concatenate([structured, draws[0], structured, draws[1]])
+    sgn = np.repeat([1.0, -1.0], len(t) // 2)
+
+    value = np.full(len(t), -np.inf)
+    for _ in range(_CHSH_MAX_SWEEPS):
+        before = value
+        for i in range(4):
+            trial = np.repeat(t[:, None], 3, axis=1)
+            trial[:, :, i] += _CHSH_PHIS
+            f = chsh_values(state, coplanar_direction(trial).reshape(-1, 4, 3))
+            f = sgn[:, None] * f.reshape(-1, 3)
+            a, c = (f[:, 0] - f[:, 2]) / 2, (f[:, 0] + f[:, 2]) / 2
+            b = f[:, 1] - c
+            t[:, i] += np.arctan2(b, a)
+            value = c + np.hypot(a, b)
+        if np.max(value - before) <= _CHSH_TOL:
+            break
+    final = sgn * chsh_values(state, coplanar_direction(t))
+    best = int(np.argmax(final))
+    return float(final[best]), np.mod(t[best], 2 * np.pi)
 
 
 def ghz4_expectation_closed_form(theta, phi) -> float:

@@ -190,6 +190,9 @@ def test_identities_small_sample_count(tmp_path):
      "--trials", "10", "--workers", "0"),
     ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
      "--trials", "10", "--workers", "-3"),
+    ("solve-hardy", "--theta-grid", "0:90:3", "--unit", "deg", "--starts", "0"),
+    ("solve-hardy", "--theta-grid", "0:90:3", "--unit", "deg", "--starts", "-1"),
+    ("model", "--which", "hardy", "--theta", "30", "--unit", "deg", "--starts", "0"),
 ])
 def test_count_options_below_one_exit_two(argv, tmp_path, capsys):
     out = tmp_path / "never.json"
@@ -204,6 +207,8 @@ def test_count_options_below_one_exit_two(argv, tmp_path, capsys):
     (("compare", "--state", "singlet"), {"samples": "abc"}),
     (("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
       "--trials", "10"), {"workers": -3}),
+    (("solve-hardy", "--theta-grid", "0:90:3", "--unit", "deg"), {"starts": 0}),
+    (("model", "--which", "hardy", "--theta", "30", "--unit", "deg"), {"starts": 0}),
 ])
 def test_count_options_from_config_are_validated(command, config, tmp_path):
     path = tmp_path / "config.json"
@@ -355,6 +360,43 @@ def test_importing_the_cli_does_not_import_scipy():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+def test_compare_and_solve_hardy_load_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from spherelab import cli\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['compare', '--state', 'all', '--samples', '5',"
+        " '--out', out + '/compare.json']) == 0\n"
+        "assert cli.main(['solve-hardy', '--theta-grid', '0:90:3', '--unit', 'deg',"
+        " '--out', out + '/scan.csv', '--format', 'csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "compare.json").exists() and (tmp_path / "scan.csv").exists()
+
+
+def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(cli, "cmd_scan_chsh", boom)
+    assert run_cli("scan-chsh", "--count", "50") == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: kernel fault\n"
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_scan_chsh", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("scan-chsh", "--count", "50")
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -8,6 +8,7 @@ certify and must be flagged with the violated equations, never hidden.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,14 +241,53 @@ def test_scan_certifies_only_theta_zero_across_seeds(seed):
     assert all(row.to_dict()["diverged"] == 0 for row in rows)
 
 
-def test_solver_makes_no_least_squares_call(monkeypatch):
-    from scipy import optimize
+# The first rows of scipy.stats.qmc.Sobol(d=7, scramble=True, seed=20240901),
+# as scipy 1.17.1 gives them.
+SOBOL_20240901 = [
+    [0.8870097352191806, 0.7795200934633613, 0.11199840158224106, 0.21993934269994497,
+     0.20393209159374237, 0.23123475071042776, 0.881651128642261],
+    [0.14660769514739513, 0.3525142129510641, 0.8896572440862656, 0.582704464904964,
+     0.8895974429324269, 0.7893274296075106, 0.08668189216405153],
+    [0.48988253623247147, 0.5049009909853339, 0.34845109190791845, 0.42698725778609514,
+     0.7036310201510787, 0.6297870920971036, 0.5224993666633964],
+    [0.7341911913827062, 0.11306471191346645, 0.6498933797702193, 0.7507156142964959,
+     0.38930351473391056, 0.31290945410728455, 0.44631475303322077],
+]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("least_squares called")
 
-    monkeypatch.setattr(optimize, "least_squares", forbidden)
-    assert lrmodel.solve_hardy(0.0).solved()
+def test_sobol_start_set_golden_rows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no power-of-two note, unlike scipy
+        points = lrmodel._sobol_points(5, 20240901)
+        empty = lrmodel._sobol_points(0, 20240901)
+    assert points.shape == (5, 7) and points.dtype == np.float64
+    assert points[:4].tolist() == SOBOL_20240901
+    assert empty.shape == (0, 7)
+
+
+@pytest.mark.parametrize("n, seeds", [
+    (32, [*range(200), *range(20240901, 20240931)]),
+    *((n, range(20)) for n in (0, 1, 2, 3, 5, 7, 16, 31, 33, 64, 100, 257)),
+])
+def test_sobol_start_set_matches_scipy(n, seeds):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # scipy's power-of-two note
+        for seed in seeds:
+            want = qmc.Sobol(d=7, scramble=True, seed=seed).random(n)
+            got = lrmodel._sobol_points(n, seed)
+            assert got.shape == want.shape and np.array_equal(got, want), seed
+
+
+@pytest.mark.parametrize("starts, init", [(-1, None), (0, None), (-1, HardyAngles(0.0, *np.full(7, 0.5)))])
+def test_solver_without_a_start_raises_value_error(starts, init):
+    with pytest.raises(ValueError, match="starts must be at least"):
+        lrmodel.solve_hardy(0.0, init=init, starts=starts)
+
+
+def test_solver_runs_from_init_alone():
+    init = lrmodel.solve_hardy(0.0)
+    assert lrmodel.solve_hardy(0.0, init=init, starts=0).residual_norm < 1e-12
 
 
 def test_solver_failure_with_init_carries_best_iterate():

@@ -5,7 +5,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.spatial.transform import Rotation
 
 from spherelab import qmref
 from spherelab.geometry import coplanar_direction, random_unit_vectors, spherical_direction
@@ -87,8 +86,16 @@ def test_singlet_rotational_invariance():
     state = qmref.singlet_state()
     a, b = random_unit_vectors(RNG, 2)
     base = qmref.pair_expectation(state, a, b)
-    for rot in Rotation.random(1000, rng=np.random.default_rng(7)):
-        assert abs(qmref.pair_expectation(state, rot.apply(a), rot.apply(b)) - base) < 1e-12
+    rng = np.random.default_rng(7)
+    axes, angles = random_unit_vectors(rng, 1000), rng.uniform(0, 2 * np.pi, 1000)
+    pairs = np.stack([_rodrigues(a, axes, angles), _rodrigues(b, axes, angles)], axis=1)
+    assert np.max(np.abs(qmref.expectations(state, pairs) - base)) < 1e-12
+
+
+def _rodrigues(v, axes, angles):
+    """v rotated about each unit axis by the matching angle (Rodrigues' formula)."""
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    return v * c + np.cross(axes, v) * s + axes * (axes @ v)[:, None] * (1 - c)
 
 
 def test_expectation_validation():
@@ -160,10 +167,8 @@ def test_chsh_qm_values():
 
 def test_chsh_product_state_classical_bound():
     product = qmref.general_state([1.0, 0.0, 0.0, 0.0])
-    worst = 0.0
-    for t in RNG.uniform(0, 2 * np.pi, (10_000, 4)):
-        worst = max(worst, abs(qmref.chsh_qm(product, *(coplanar_direction(ti) for ti in t))))
-    assert worst <= 2.0 + 1e-9
+    quads = coplanar_direction(RNG.uniform(0, 2 * np.pi, (10_000, 4)))
+    assert np.max(np.abs(qmref.chsh_values(product, quads))) <= 2.0 + 1e-9
 
 
 def test_maximize_chsh():
@@ -177,6 +182,63 @@ def test_maximize_chsh():
     # theta = 0 member of the family is maximally entangled again.
     value_h0, _ = qmref.maximize_chsh(qmref.hardy_state(0.0), seed=5)
     assert value_h0 == pytest.approx(2 * SQ2, abs=1e-6)
+
+
+def _random_two_qubit_states(rng, count):
+    amps = rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))
+    return [qmref.general_state(z / np.linalg.norm(z)) for z in amps]
+
+
+def test_chsh_is_a_sinusoid_along_each_angle():
+    # The property maximize_chsh relies on: along one angle the string is
+    # C + A cos(phi) + B sin(phi), fixed by its values at 0, pi/2 and pi.
+    rng = np.random.default_rng(31)
+    for state in _random_two_qubit_states(rng, 20):
+        t = rng.uniform(0, 2 * np.pi, 4)
+        for i in range(4):
+            phis = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0, 2 * np.pi, 5)])
+            trial = np.tile(t, (len(phis), 1))
+            trial[:, i] += phis
+            f = qmref.chsh_values(state, coplanar_direction(trial))
+            a, c = (f[0] - f[2]) / 2, (f[0] + f[2]) / 2
+            b = f[1] - c
+            fit = c + a * np.cos(phis[3:]) + b * np.sin(phis[3:])
+            assert np.max(np.abs(fit - f[3:])) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_maximize_chsh_reaches_tsirelson(seed):
+    value, angles = qmref.maximize_chsh(qmref.singlet_state(), seed=seed)
+    assert abs(value - 2 * SQ2) <= 1e-12
+    assert angles.shape == (4,) and np.all((0 <= angles) & (angles < 2 * np.pi))
+
+
+def _nelder_mead_maximum(state, starts, seed):
+    """sup |CHSH| by scalar Nelder-Mead runs from maximize_chsh's starts."""
+    from scipy import optimize
+
+    rng = np.random.default_rng(seed)
+    structured = [[0.0, np.pi / 2, np.pi / 4, -np.pi / 4],
+                  [0.0, np.pi / 2, 5 * np.pi / 4, 3 * np.pi / 4]]
+    best = 0.0
+    for sgn, draws in zip((1.0, -1.0), rng.uniform(0, 2 * np.pi, (2, starts, 4))):
+        for t0 in [*structured, *draws]:
+            res = optimize.minimize(
+                lambda t: -sgn * qmref.chsh_values(state, coplanar_direction(t)[None])[0],
+                t0, method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+            best = max(best, -res.fun)
+    return best
+
+
+def test_maximize_chsh_matches_nelder_mead():
+    pytest.importorskip("scipy.optimize")
+    states = [qmref.general_state([1.0, 0.0, 0.0, 0.0])]
+    states += [qmref.hardy_state(t) for t in (0.0, 0.5, 1.2)]
+    states += _random_two_qubit_states(np.random.default_rng(37), 10)
+    for state in states:
+        value, _ = qmref.maximize_chsh(state, starts=1, seed=5)
+        assert abs(value - _nelder_mead_maximum(state, starts=1, seed=5)) <= 1e-12
 
 
 def test_expectation_stays_in_physical_range():
