@@ -515,13 +515,32 @@ def cmd_solve_hardy(args) -> int:
     return 0
 
 
+# Rows formatted per repr call in _float_csv: one repr of the whole table
+# would hold every row's text at once and raise the peak memory.
+CSV_CHUNK_ROWS = 4096
+
+
+def _float_csv(header: str, table: np.ndarray) -> str:
+    """CSV text of a 2-D float table, each value written as repr(float(x)).
+
+    A chunk's list repr is "[[x, y], [z, w]]" with every float in repr form;
+    a float's repr never holds "[" or ", ", so replacing the separators gives
+    exactly the per-value rows.
+    """
+    parts = [header]
+    for lo in range(0, len(table), CSV_CHUNK_ROWS):
+        text = repr(table[lo:lo + CSV_CHUNK_ROWS].tolist())
+        parts.append(text[2:-2].replace("], [", "\n").replace(", ", ","))
+    parts.append("")
+    return "\n".join(parts)
+
+
 def cmd_scan_chsh(args) -> int:
     sweep = lrmodel.scan_chsh(args.count, args.seed)
-    lines = ["t_a,t_a_prime,t_b,t_b_prime,value,bound"]
-    for t, v, bd in zip(sweep["angles"], sweep["values"], sweep["bounds"]):
-        lines.append(",".join([repr(float(x)) for x in t] + [repr(float(v)), repr(float(bd))]))
     if getattr(args, "out", None):
-        path = write_report("\n".join(lines) + "\n", args.out, "csv")
+        table = np.column_stack([sweep["angles"], sweep["values"], sweep["bounds"]])
+        text = _float_csv("t_a,t_a_prime,t_b,t_b_prime,value,bound", table)
+        path = write_report(text, args.out, "csv")
         print(f"wrote {path}")
     print(f"max |value| = {sweep['max_abs_value']!r} at {[float(t) for t in sweep['argmax']]}")
     print(f"bound violations: fraction={sweep['bound_violation_fraction']:.4f} "

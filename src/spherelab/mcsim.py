@@ -5,6 +5,13 @@ keyed by (seed, trial index) — a splitmix64-style mix of the counter —
 so trial i's draw never depends on how trials are batched: serial runs,
 chunked runs, and multi-worker runs are bit-identical by construction.
 
+The uniform draw is u_i = k_i * 2**-53 for a 53-bit integer k_i, and
+w * 2**53 is exact in float64, so u_i < w holds exactly when
+k_i < ceil(w * 2**53).  The ensemble therefore never forms the doubles: one
+in-place kernel per block of BLOCK trials adds a wrapped offset to a
+precomputed step table, mixes it, and compares the integers to that
+threshold, with results bit-identical to comparing counter_uniform to w.
+
 For every supported experiment the per-trial product point is
 (f, sign_i * w): the scalar f is the same for both orientations, the
 oriented components flip with the sign.  The report therefore carries
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,21 +49,57 @@ from .geometry import require_unit
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
 
 BLOCK = 1 << 16
+# i * gamma (mod 2**64) for i < BLOCK: a block's counters are this table
+# plus one offset.  Scaled in place so import holds one 512 KB array, not two.
+_STEPS = np.arange(BLOCK, dtype=np.uint64)
+_STEPS *= _GAMMA
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer, applied to z in place (z is returned); scratch,
+    if given, is a uint64 array of z's shape that it overwrites."""
+    tmp = np.empty_like(z) if scratch is None else scratch
+    for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        if mult is not None:
+            np.multiply(z, mult, out=z)
+    return z
 
 
 def counter_uniform(seed: int, indices: np.ndarray) -> np.ndarray:
     """Uniform [0,1) doubles keyed by (seed, index); pure function of both."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GAMMA
+    z = np.array(indices, dtype=np.uint64)  # a copy, mixed in place below
+    z += np.uint64(1)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK64)
     return (_mix64(z) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _counter_bits(seed: int, start: int, stop: int,
+                  out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The 53-bit integers k_i with counter_uniform(seed, i) == k_i * 2**-53,
+    for the contiguous indices start <= i < stop.
+
+    out and scratch, if given, are uint64 buffers of at least stop - start
+    entries; the result is a view of out, so a loop over blocks allocates
+    nothing.
+    """
+    n = stop - start
+    steps = _STEPS[:n] if n <= BLOCK else np.arange(n, dtype=np.uint64) * _GAMMA
+    offset = np.uint64((seed + (start + 1) * int(_GAMMA)) & _MASK64)
+    z = np.add(steps, offset, out=None if out is None else out[:n])
+    _mix64(z, None if scratch is None else scratch[:n])
+    return np.right_shift(z, np.uint64(11), out=z)
+
+
+def _threshold(weight_plus: float) -> np.uint64:
+    """ceil(w * 2**53): k * 2**-53 < w exactly when k < this (the product is
+    exact in float64 and k is an integer)."""
+    return np.uint64(math.ceil(weight_plus * 2.0**53))
 
 
 @dataclass(frozen=True)
@@ -86,8 +130,8 @@ class LambdaStream:
         self.distribution = distribution or PlusMinusDistribution()
 
     def sample_block(self, start: int, stop: int) -> np.ndarray:
-        u = counter_uniform(self.seed, np.arange(start, stop, dtype=np.uint64))
-        return np.where(u < self.distribution.weight_plus, 1, -1).astype(np.int8)
+        plus = _counter_bits(self.seed, start, stop) < _threshold(self.distribution.weight_plus)
+        return np.where(plus, np.int8(1), np.int8(-1))
 
     def sample(self, index: int) -> int:
         return int(self.sample_block(index, index + 1)[0])
@@ -204,6 +248,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # Trial indices are uint64 counters: past 2**64 the draws would repeat.
+        if self.trials > 2**64:
+            raise ValueError(f"trials must be <= 2**64, got {self.trials}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -249,17 +296,23 @@ def _orientation_sum(stream: LambdaStream, trials: int, workers: int) -> int:
     how blocks are distributed over workers.
     """
     spans = [(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
+    threshold = _threshold(stream.distribution.weight_plus)
 
-    def block_sum(span):
-        lo, hi = span
-        return int(stream.sample_block(lo, hi).sum(dtype=np.int64))
+    def spans_sum(part):
+        # Each worker owns its buffers, so its blocks allocate nothing.
+        bits, scratch = np.empty(BLOCK, np.uint64), np.empty(BLOCK, np.uint64)
+        plus = np.empty(BLOCK, dtype=bool)
+        total = 0
+        for lo, hi in part:
+            k = _counter_bits(stream.seed, lo, hi, bits, scratch)
+            total += 2 * np.count_nonzero(np.less(k, threshold, out=plus[:hi - lo])) - (hi - lo)
+        return total
 
-    if workers <= 1 or len(spans) == 1:
-        sums = [block_sum(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(block_sum, spans))
-    return sum(sums)
+    workers = min(workers, len(spans), os.cpu_count() or 1)
+    if workers <= 1:
+        return spans_sum(spans)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(spans_sum, [spans[i::workers] for i in range(workers)]))
 
 
 def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleReport:

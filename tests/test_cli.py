@@ -3,6 +3,7 @@ atomic writes, unit handling, config merging."""
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import stat
@@ -156,6 +157,58 @@ def test_mc_command(tmp_path):
     run_cli("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
             "--trials", "1000", "--seed", "5", "--workers", "3", "--out", str(out2))
     assert out.read_bytes() == out2.read_bytes()
+
+
+def _per_row_sweep_csv(count, seed):
+    """The scan-chsh CSV as one repr(float(x)) per value, row by row."""
+    sweep = lrmodel.scan_chsh(count, seed)
+    lines = ["t_a,t_a_prime,t_b,t_b_prime,value,bound"]
+    for t, v, bd in zip(sweep["angles"], sweep["values"], sweep["bounds"]):
+        lines.append(",".join([repr(float(x)) for x in t] + [repr(float(v)), repr(float(bd))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", (4, 4095, 4096, 4097, 10_000))
+def test_scan_chsh_csv_equals_the_per_row_formatter(count, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("scan-chsh", "--count", str(count), "--seed", "3", "--out", str(out)) == 0
+    assert out.read_text() == _per_row_sweep_csv(count, 3)
+
+
+# SHA-256 of artifacts as written before the integer-threshold draws and the
+# chunked CSV formatter; both changes must leave every byte as it was.
+SINGLET_MC = ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
+              "--trials", "1000003", "--seed", "0")
+PINNED_ARTIFACTS = [
+    (("scan-chsh", "--count", "10000", "--seed", "0"), "sweep.csv",
+     "8647e09c8d0af4a0aafd559be5ba5a3f838d8752e6a28c88d91bccb737cdd0d7"),
+    (SINGLET_MC + ("--workers", "1"), "mc.json",
+     "62e6e70c3cde56d6703e33d06bee779f42a35aace8e27bb76b833f5423b27b57"),
+    (SINGLET_MC + ("--workers", "2"), "mc.json",
+     "62e6e70c3cde56d6703e33d06bee779f42a35aace8e27bb76b833f5423b27b57"),
+    (("mc", "--experiment", "ghz3", "--angles", "30,10,70,20,110,30", "--alpha", "20",
+      "--delta", "40", "--unit", "deg", "--trials", "200001", "--weight-plus", "0.3",
+      "--seed", "5", "--format", "csv"), "ghz3.csv",
+     "fe60854a06fbbce462426148636f2549a1f146f5d6a46cdb47eeed1e7a3910b7"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", PINNED_ARTIFACTS)
+def test_sweep_artifacts_keep_their_bytes(argv, name, digest, tmp_path):
+    out = tmp_path / name
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_mc_trials_above_the_counter_range_exit_two(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an ensemble past 2**64 trials must not start")
+
+    monkeypatch.setattr(mcsim, "run_ensemble", never)
+    assert run_cli("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
+                   "--trials", str(2**64 + 1)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "2**64" in err
 
 
 def test_mc_ghz3_requires_alpha_delta():

@@ -156,3 +156,88 @@ def test_experiment_json_round_trip():
         assert back.to_json_obj() == exp.to_json_obj()
     with pytest.raises(ValueError):
         mcsim.experiment_from_json_obj({"kind": "bogus"})
+
+
+# ---------------------------------------------------------------------------
+# the integer-threshold draw path against the float reference
+# ---------------------------------------------------------------------------
+
+B = mcsim.BLOCK
+# Spans that start off a BLOCK boundary, cross one, and (the last) run longer
+# than a BLOCK.
+SPANS = ((0, 100), (B - 5, B + 11), (2 * B - 1, 2 * B + 1), (17, 2 * B + 40))
+SEEDS = (0, 7, -1, 2**64 - 1)
+WEIGHTS = (0.0, 1.0, 2.0**-53, 1e-17, 0.3, 0.5, 1.0 - 2.0**-53)
+
+
+def _reference_signs(seed, start, stop, weight):
+    u = mcsim.counter_uniform(seed, np.arange(start, stop, dtype=np.uint64))
+    return np.where(u < weight, 1, -1).astype(np.int8)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_threshold_draws_match_the_float_reference(seed):
+    for start, stop in SPANS:
+        for weight in WEIGHTS:
+            stream = mcsim.LambdaStream(seed, mcsim.PlusMinusDistribution(weight))
+            block = stream.sample_block(start, stop)
+            assert block.dtype == np.int8
+            assert np.array_equal(block, _reference_signs(seed, start, stop, weight))
+
+
+def test_threshold_is_exact_at_a_drawn_value():
+    # A weight equal to a drawn u_i puts that trial on the boundary: u_i < w
+    # is false there, and true for the next double above w.
+    seed, start, stop = 11, B - 3, B + 3
+    u = mcsim.counter_uniform(seed, np.arange(start, stop, dtype=np.uint64))
+    for weight in (u[2], np.nextafter(u[2], 1.0), np.nextafter(u[2], 0.0)):
+        stream = mcsim.LambdaStream(seed, mcsim.PlusMinusDistribution(weight))
+        assert np.array_equal(stream.sample_block(start, stop),
+                              _reference_signs(seed, start, stop, weight))
+    assert mcsim.LambdaStream(seed, mcsim.PlusMinusDistribution(u[2])).sample(start + 2) == -1
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("weight", (0.3, 0.5))
+def test_orientation_sum_matches_the_sample_block_route(workers, weight):
+    trials = 3 * B + 17
+    stream = mcsim.LambdaStream(42814, mcsim.PlusMinusDistribution(weight))
+    expected = sum(int(stream.sample_block(lo, min(lo + B, trials)).sum(dtype=np.int64))
+                   for lo in range(0, trials, B))
+    assert expected == int(_reference_signs(42814, 0, trials, weight).sum(dtype=np.int64))
+    assert mcsim._orientation_sum(stream, trials, workers) == expected
+
+
+@pytest.mark.parametrize("cpus, pool_size", [(8, 4), (3, 3), (1, None), (None, None)])
+def test_worker_pool_is_clamped_to_spans_and_cpus(cpus, pool_size, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(mcsim.os, "cpu_count", lambda: cpus)
+    trials = 3 * B + 17  # 4 spans
+    stream = mcsim.LambdaStream(5)
+    total = mcsim._orientation_sum(stream, trials, workers=100_000)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert total == int(stream.sample_block(0, trials).sum(dtype=np.int64))
+
+
+def test_trials_above_the_counter_range_are_rejected():
+    exp = mcsim.SingletExperiment(Z, X)
+    mcsim.EnsembleConfig(exp, trials=2**64, seed=1)  # built only, never run
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        mcsim.EnsembleConfig(exp, trials=2**64 + 1, seed=1)
