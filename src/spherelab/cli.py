@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +77,14 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, text):
+    """Write text, a str or an iterator of str chunks written as they come,
+    to a temporary file that then replaces path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         # mkstemp creates the file 0600; give the artifact the mode open() would.
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
@@ -106,7 +109,8 @@ def _ensemble_csv(report: mcsim.EnsembleReport) -> str:
 
 
 def write_report(report, path, fmt: str):
-    """Persist a comparison or ensemble report as JSON or CSV, atomically."""
+    """Persist a comparison or ensemble report as JSON or CSV, or text given
+    as a str or an iterator of str chunks, atomically."""
     if fmt not in ("json", "csv"):
         raise UsageError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = _resolve_out(path)
@@ -118,7 +122,7 @@ def write_report(report, path, fmt: str):
         if fmt != "json":
             raise UsageError("this report only supports --format json")
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif isinstance(report, str):
+    elif isinstance(report, (str, Iterator)):
         text = report
     else:
         raise UsageError(f"cannot serialize report of type {type(report).__name__}")
@@ -520,22 +524,24 @@ def cmd_solve_hardy(args) -> int:
 CSV_CHUNK_ROWS = 4096
 
 
-def _float_csv(header: str, table: np.ndarray) -> str:
-    """CSV text of a 2-D float table, each value written as repr(float(x)).
+def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
+    """CSV text of a 2-D float table, each value written as repr(float(x)),
+    as one chunk of lines per CSV_CHUNK_ROWS rows, so that a writer never
+    holds the whole text.
 
     A chunk's list repr is "[[x, y], [z, w]]" with every float in repr form;
     a float's repr never holds "[" or ", ", so replacing the separators gives
     exactly the per-value rows.
     """
-    parts = [header]
+    yield header + "\n"
     for lo in range(0, len(table), CSV_CHUNK_ROWS):
         text = repr(table[lo:lo + CSV_CHUNK_ROWS].tolist())
-        parts.append(text[2:-2].replace("], [", "\n").replace(", ", ","))
-    parts.append("")
-    return "\n".join(parts)
+        yield text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
 
 
 def cmd_scan_chsh(args) -> int:
+    if args.format == "json":
+        raise UsageError("scan-chsh writes CSV only, got --format json")
     sweep = lrmodel.scan_chsh(args.count, args.seed)
     if getattr(args, "out", None):
         table = np.column_stack([sweep["angles"], sweep["values"], sweep["bounds"]])

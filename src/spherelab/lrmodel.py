@@ -18,8 +18,9 @@ Contents:
   * the Hardy tilted-point construction: a seven-angle constraint system
     (one residual kernel over angle stacks) solved as least squares by one
     batched Levenberg-Marquardt iteration over quasi-random multi-starts
-    with an exact complex-step Jacobian, joint predictions from solved
-    angles,
+    with an exact complex-step Jacobian (a theta grid is two such calls:
+    every point's starts, then restarts from each point's neighbours),
+    joint predictions from solved angles,
   * three- and four-particle pipelines on S^7 in two modes: "pinned_z"
     evaluates the dot-product expansion with the postulated anisotropy
     vector Z = e3 * prod(n_iz); "table" evaluates the cross-product form
@@ -355,23 +356,52 @@ class HardyAngles:
         return d
 
 
-def _product_residuals(x, theta: float) -> np.ndarray:
+def _theta_terms(theta) -> np.ndarray:
+    """The five theta constants of the product form, as a (..., 5) array for
+    a theta of any shape: k = cos(2 theta) as 1 - 2 sin^2, then sin/s,
+    sin cos^2/s, cos^3/s and cos/s with s = sqrt(1 + cos^2).
+
+    Each distinct theta is worked with Python float arithmetic (numpy's
+    vectorized power can differ from libm's pow in the last bit), so a
+    per-row theta gives the same bits as the scalar one.
+    """
+    if isinstance(theta, float):
+        return np.array(_scalar_theta_terms(theta))
+    theta = np.asarray(theta, dtype=float)
+    values, where = np.unique(theta, return_inverse=True)
+    table = np.array([_scalar_theta_terms(t) for t in values.tolist()])
+    return table[where].reshape(theta.shape + (5,))
+
+
+def _scalar_theta_terms(theta: float) -> tuple:
+    ct, st = math.cos(theta), math.sin(theta)
+    s = math.sqrt(1.0 + ct * ct)
+    return 1.0 - 2.0 * st * st, st / s, st * ct * ct / s, ct**3 / s, ct / s
+
+
+def _product_residuals(x, theta) -> np.ndarray:
     """Product-form residuals for a (..., 7) stack of angle vectors (real or
-    complex, in ANGLE_NAMES order) at one theta; returns (..., 13).
+    complex, in ANGLE_NAMES order); returns (..., 13).  theta is a scalar or
+    one value per row, broadcast against the stack's leading shape."""
+    return _residuals_at(x, _theta_terms(theta))
+
+
+def _residuals_at(x, terms: np.ndarray, cos_sin=None) -> np.ndarray:
+    """_product_residuals with the theta constants given as _theta_terms, and
+    optionally (cos(x), sin(x)) precomputed.
 
     Every residual is a real-analytic trig expression in linear angle
     combinations, so a complex stack gives the complex-step derivative.  The
     operations and their order are those of the one-row form, so a real row
     gives the same bits as hardy_residuals.
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    k = 1.0 - 2.0 * st * st
-    s = math.sqrt(1.0 + ct * ct)
-    # Transposing puts the angle axis first for unpacking; the stack is
-    # transposed back at the end.
+    cos_x, sin_x = (np.cos(x), np.sin(x)) if cos_sin is None else cos_sin
+    # Transposing puts the angle (and term) axis first for unpacking; the
+    # stack is transposed back at the end.
+    k, st_s, stcc_s, c3_s, ct_s = terms.T
     al, be, ga, de, et, ro, nu = x.T
-    c_al, c_be, c_ga, c_de, c_et, c_ro, c_nu = np.cos(x).T
-    s_al, s_be, s_ga, s_de, s_et, s_ro, s_nu = np.sin(x).T
+    c_al, c_be, c_ga, c_de, c_et, c_ro, c_nu = cos_x.T
+    s_al, s_be, s_ga, s_de, s_et, s_ro, s_nu = sin_x.T
 
     ratio_rne_num = c_ro * s_et - c_nu * c_et
     ratio_rne_den = s_ro * c_et - s_nu * s_et
@@ -384,17 +414,17 @@ def _product_residuals(x, theta: float) -> np.ndarray:
         [
             c_ga * c_be - k * s_ga * s_be,
             c_al * c_de - k * s_al * s_de,
-            np.cos(al + be) + st / s,
-            np.cos(ro + nu) + cos_gd + st / s,
-            cos_gd - st * ct * ct / s,
+            np.cos(al + be) + st_s,
+            np.cos(ro + nu) + cos_gd + st_s,
+            cos_gd - stcc_s,
             ratio_rne_num - k * ratio_rne_den,
             ratio_gde_num - k * ratio_gde_den,
             ratio_anrb_num - k * ratio_anrb_den,
             k * ratio_rne_den - ratio_rne_num,
-            np.cos(ga - nu) - ct**3 / s,
-            np.cos(ro - de) - ct**3 / s,
-            np.sin(al + et) - ct / s,
-            np.cos(et - be) - ct / s,
+            np.cos(ga - nu) - c3_s,
+            np.cos(ro - de) - c3_s,
+            np.sin(al + et) - ct_s,
+            np.cos(et - be) - ct_s,
         ]
     ).T
 
@@ -454,12 +484,30 @@ def hardy_residuals(angles: HardyAngles, form: str = "product") -> np.ndarray:
 _COMPLEX_STEP = 1e-30
 
 
-def _product_jacobian(x: np.ndarray, theta: float) -> np.ndarray:
-    """(S, 13, 7) Jacobians of the product-form residuals at an (S, 7) stack,
-    from one kernel call on the (S, 7, 7) complex-step stack."""
+def _product_jacobian(x: np.ndarray, theta) -> np.ndarray:
+    """(S, 13, 7) Jacobians of the product-form residuals at an (S, 7) stack;
+    theta is a scalar or one value per row."""
+    return _jacobian_at(x, np.broadcast_to(_theta_terms(theta), (len(x), 5)))
+
+
+def _jacobian_at(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """_product_jacobian with (S, 5) per-row theta constants, from one kernel
+    call on the (S, 7, 7) complex-step stack.
+
+    Row k of a stack perturbs angle k alone, so only the stack's diagonal
+    needs a complex cos and sin; elsewhere they are the real values.  (The
+    complex functions give those too, with a zero imaginary part whose sign
+    may differ, which changes no derivative.)
+    """
     # Built per call, not at import: numpy's first complex arithmetic pages
     # in about 0.25 MB, which runs that never solve should not pay.
-    r = _product_residuals(x[:, None, :] + (1j * _COMPLEX_STEP) * np.eye(7), theta)
+    stack = x[:, None, :] + (1j * _COMPLEX_STEP) * np.eye(7)
+    cos_x, sin_x = np.empty_like(stack), np.empty_like(stack)
+    cos_x[:], sin_x[:] = np.cos(x)[:, None, :], np.sin(x)[:, None, :]
+    diag = np.arange(7)
+    stepped = stack[:, diag, diag]
+    cos_x[:, diag, diag], sin_x[:, diag, diag] = np.cos(stepped), np.sin(stepped)
+    r = _residuals_at(stack, terms[:, None, :], (cos_x, sin_x))
     return np.swapaxes(r.imag, -1, -2) / _COMPLEX_STEP
 
 
@@ -473,6 +521,10 @@ def _wrap_angles(x: np.ndarray) -> np.ndarray:
 # that cuts the theta = 0 starts short loses its certification.
 _LM_XTOL = _LM_FTOL = _LM_GTOL = 1e-15
 _LM_MAX_ITER = 2000
+# Rows per Jacobian block: the complex-step stack and its kernel temporaries
+# are 7x a residual call's, so a 608-row scan pass in one block raised the
+# scan's peak memory by about 10%; 64-row blocks cost no measurable time.
+_JACOBIAN_BLOCK_ROWS = 64
 # Initial damping, relative to diag(J^T J): first steps are nearly
 # Gauss-Newton, as MINPACK's are (its first trust radius is 100 |D x0|).
 # Over seeds 0..99 this keeps the minimum found closer to MINPACK's than
@@ -480,9 +532,10 @@ _LM_MAX_ITER = 2000
 _LM_DAMPING0 = 1e-6
 
 
-def _solve_lm(x0: np.ndarray, theta: float) -> np.ndarray:
+def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
     """Levenberg-Marquardt on the product-form residuals from every row of
-    an (S, 7) start stack at once; returns the (S, 7) final iterates.
+    an (S, 7) start stack at once; returns the (S, 7) final iterates.  theta
+    is a scalar or one value per row, so one call can solve a whole grid.
 
     Damping (Marquardt-scaled by diag(J^T J)), step acceptance and the
     stopping tests are per start; each iteration solves the damped normal
@@ -493,10 +546,11 @@ def _solve_lm(x0: np.ndarray, theta: float) -> np.ndarray:
     non-finite step, or at the iteration cap.
     """
     out = np.array(x0, dtype=float)
-    r = _product_residuals(out, theta)
+    terms = np.broadcast_to(_theta_terms(theta), (len(out), 5))
+    r = _residuals_at(out, terms)
     cost = 0.5 * np.einsum("si,si->s", r, r)
     ids = np.flatnonzero(np.isfinite(cost))  # rows of `out` still iterating
-    x, r, cost = out[ids], r[ids], cost[ids]
+    x, r, cost, terms = out[ids], r[ids], cost[ids], terms[ids]
     n = len(ids)
     jtj, grad, scale = np.zeros((n, 7, 7)), np.zeros((n, 7)), np.zeros((n, 7))
     damping, growth = np.full(n, _LM_DAMPING0), np.full(n, 2.0)
@@ -506,10 +560,12 @@ def _solve_lm(x0: np.ndarray, theta: float) -> np.ndarray:
     for _ in range(_LM_MAX_ITER):
         if not ids.size:
             break
-        if fresh.any():
-            jac = _product_jacobian(x[fresh], theta)
-            jtj[fresh] = np.einsum("ski,skj->sij", jac, jac)
-            grad[fresh] = np.einsum("ski,sk->si", jac, r[fresh])
+        stale = np.flatnonzero(fresh)
+        for lo in range(0, len(stale), _JACOBIAN_BLOCK_ROWS):
+            block = stale[lo:lo + _JACOBIAN_BLOCK_ROWS]
+            jac = _jacobian_at(x[block], terms[block])
+            jtj[block] = np.einsum("ski,skj->sij", jac, jac)
+            grad[block] = np.einsum("ski,sk->si", jac, r[block])
         col_sq = np.diagonal(jtj, axis1=1, axis2=2)
         # Marquardt scaling, never shrinking (as MINPACK keeps its diag).
         scale = np.maximum(scale, col_sq)
@@ -522,7 +578,7 @@ def _solve_lm(x0: np.ndarray, theta: float) -> np.ndarray:
         finite_step = np.isfinite(step).all(axis=1)
         step[~finite_step] = 0.0
         trial = x + step
-        r_trial = _product_residuals(trial, theta)
+        r_trial = _residuals_at(trial, terms)
         cost_trial = 0.5 * np.einsum("si,si->s", r_trial, r_trial)
         actual = cost - cost_trial
         predicted = 0.5 * np.einsum("si,si->s", step, lam_d * step - grad)
@@ -550,6 +606,7 @@ def _solve_lm(x0: np.ndarray, theta: float) -> np.ndarray:
             out[ids[done]] = x[done]
             keep = ~done
             ids, x, r, cost, fresh = ids[keep], x[keep], r[keep], cost[keep], fresh[keep]
+            terms = terms[keep]
             jtj, grad, scale = jtj[keep], grad[keep], scale[keep]
             damping, growth = damping[keep], growth[keep]
     out[ids] = x
@@ -612,6 +669,22 @@ def _sobol_points(n: int, seed: int) -> np.ndarray:
     return quasi * 2.0**-bits
 
 
+def _near_best(norms: np.ndarray) -> np.ndarray:
+    """Mask of the finite residual norms within 1e-12 of the smallest one."""
+    finite = np.isfinite(norms)
+    return finite & (norms <= norms[finite].min(initial=np.inf) + 1e-12)
+
+
+def _pick(theta: float, near: np.ndarray, diverged: int, ref=None) -> HardyAngles:
+    """The near-best iterate closest (wrapped) to the angle vector ref, when
+    given, then with the smallest angle-vector norm."""
+    if ref is None:
+        best = min(near, key=np.linalg.norm)
+    else:
+        best = min(near, key=lambda x: (np.linalg.norm(_wrap_angles(x - ref)), np.linalg.norm(x)))
+    return HardyAngles(theta, *best, diverged=diverged).with_residual()
+
+
 def solve_hardy(
     theta: float,
     init: HardyAngles | None = None,
@@ -623,12 +696,13 @@ def solve_hardy(
 
     One batched Levenberg-Marquardt iteration (exact complex-step Jacobian)
     runs from `starts` scrambled-Sobol points in (0, pi)^7, plus `init`
-    first when given (the continuation hook used by theta scans).  Returns
-    the best iterate with its certified residual_norm and the count of
-    starts whose cost went non-finite; the caller decides what
-    residual_norm it will accept.  Ties within 1e-12 of the best norm break
-    toward continuity with `init`, then toward the smallest angle-vector
-    norm.  Raises ValueError when starts is negative or no start is left.
+    first when given.  Returns the best iterate with its certified
+    residual_norm and the count of starts whose cost went non-finite; the
+    caller decides what residual_norm it will accept.  Ties within 1e-12 of
+    the best norm break toward continuity with `init`, then toward the
+    smallest angle-vector norm, as scan_hardy's do.  A lone theta has no
+    neighbours to continue from, so it can miss a solution that scan_hardy
+    finds.  Raises ValueError when starts is negative or no start is left.
     """
     if starts < 0 or (starts == 0 and init is None):
         raise ValueError(f"starts must be at least {1 if init is None else 0}, got {starts!r}")
@@ -638,20 +712,12 @@ def solve_hardy(
 
     xs = _wrap_angles(_solve_lm(x0s, theta))
     norms = np.linalg.norm(_product_residuals(xs, theta), axis=1)
-    finite = np.isfinite(norms)
-    diverged = int(np.count_nonzero(~finite))
-    if diverged == len(xs):
+    near = _near_best(norms)
+    if not near.any():
         best = HardyAngles(theta, *(_wrap_angles(x0s[0]))).with_residual()
         raise HardySolverError(f"all {len(x0s)} starts diverged at theta={theta!r}", best=best)
-
-    best_rn = norms[finite].min()
-    near_best = [x for rn, x in zip(norms, xs) if rn <= best_rn + 1e-12]
-    if init is not None:
-        ref = init.as_array()
-        near_best.sort(key=lambda x: (np.linalg.norm(_wrap_angles(x - ref)), np.linalg.norm(x)))
-    else:
-        near_best.sort(key=lambda x: np.linalg.norm(x))
-    return HardyAngles(theta, *near_best[0], diverged=diverged).with_residual()
+    diverged = int(np.count_nonzero(~np.isfinite(norms)))
+    return _pick(theta, xs[near], diverged, None if init is None else init.as_array())
 
 
 @dataclass(frozen=True)
@@ -677,16 +743,72 @@ class HardyScanRow:
         }
 
 
+# Rows per _solve_lm call of a scan: whole theta points of `starts` rows each
+# (at least one point per call), so the solver's memory does not grow with the
+# grid.  The 19-point 0..90 degree grid at 32 starts (608 rows) is one call.
+_SCAN_MAX_ROWS = 1024
+
+
 def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1e-10) -> list:
-    """Solve across a theta grid with continuation from the previous point.
+    """Solve across a theta grid in two batched passes.
+
+    Pass 1 runs every grid point from its `starts` scrambled-Sobol points
+    (seed + i at the i-th point) in one Levenberg-Marquardt call, with theta
+    carried per row.  Pass 2 is one more call that restarts each point from
+    pass 1's best at both of its grid neighbours: a root found at one theta
+    is a good start at the next, and the restart from theta_1 is what
+    certifies theta = 0 at seeds whose own starts miss it.  In grid order,
+    each point then takes the best iterate of both passes, ties within
+    1e-12 breaking toward the previous point's answer, then toward the
+    smallest angle-vector norm.  Calls are capped at _SCAN_MAX_ROWS rows.
 
     Every grid point is reported; points the solver cannot certify below
-    `tol` are flagged with the failing equations, never hidden.
+    `tol` are flagged with the failing equations, never hidden.  Raises
+    ValueError when starts < 1 and HardySolverError when every start at a
+    point diverged.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts!r}")
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    # Per point: the near-best iterates so far, their norms, and the counts of
+    # diverged and of all starts.
+    found = [(np.empty((0, 7)), np.empty(0), 0, 0) for _ in thetas]
+
+    def run(owner: np.ndarray, x0: np.ndarray):
+        theta = thetas[owner]
+        xs = _wrap_angles(_solve_lm(x0, theta))
+        norms = np.linalg.norm(_product_residuals(xs, theta), axis=1)
+        for i in np.unique(owner).tolist():
+            mine = owner == i
+            near, near_norms, diverged, total = found[i]
+            cand = np.vstack([near, xs[mine]])
+            cand_norms = np.concatenate([near_norms, norms[mine]])
+            keep = _near_best(cand_norms)
+            found[i] = (cand[keep], cand_norms[keep],
+                        diverged + int(np.count_nonzero(~np.isfinite(norms[mine]))),
+                        total + int(np.count_nonzero(mine)))
+
+    per_call = max(1, _SCAN_MAX_ROWS // starts)
+    for lo in range(0, len(thetas), per_call):
+        points = range(lo, min(lo + per_call, len(thetas)))
+        x0 = np.pi * np.vstack([_sobol_points(starts, seed + i) for i in points])
+        run(np.repeat(points, starts), x0)
+
+    firsts = [min(near, key=np.linalg.norm) if len(near) else None for near, *_ in found]
+    restarts = [(i, firsts[j]) for i in range(len(thetas)) for j in (i - 1, i + 1)
+                if 0 <= j < len(thetas) and firsts[j] is not None]
+    for lo in range(0, len(restarts), _SCAN_MAX_ROWS):
+        chunk = restarts[lo:lo + _SCAN_MAX_ROWS]
+        run(np.array([i for i, _ in chunk]), np.array([x for _, x in chunk]))
+
     rows = []
     prev = None
-    for i, theta in enumerate(np.atleast_1d(np.asarray(thetas, dtype=float))):
-        angles = solve_hardy(float(theta), init=prev, starts=starts, seed=seed + i)
+    for i, (theta, (near, _, diverged, total)) in enumerate(zip(thetas.tolist(), found)):
+        if not len(near):
+            best = HardyAngles(theta, *_wrap_angles(np.pi * _sobol_points(1, seed + i)[0]))
+            raise HardySolverError(f"all {total} starts diverged at theta={theta!r}",
+                                   best=best.with_residual())
+        angles = _pick(theta, near, diverged, prev)
         res = hardy_residuals(angles)
         failing = tuple(
             sorted(
@@ -694,8 +816,8 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
                 key=lambda lr: -abs(lr[1]),
             )
         )
-        rows.append(HardyScanRow(float(theta), angles, angles.solved(tol), failing))
-        prev = angles
+        rows.append(HardyScanRow(theta, angles, angles.solved(tol), failing))
+        prev = angles.as_array()
     return rows
 
 

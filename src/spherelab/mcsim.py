@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,6 +310,10 @@ def _orientation_sum(stream: LambdaStream, trials: int, workers: int) -> int:
     workers = min(workers, len(spans), os.cpu_count() or 1)
     if workers <= 1:
         return spans_sum(spans)
+    # Imported here, not with the module: every CLI call imports mcsim, and
+    # only a pool needs the few milliseconds this import takes.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(spans_sum, [spans[i::workers] for i in range(workers)]))
 

@@ -144,6 +144,52 @@ def test_scan_chsh_csv(tmp_path):
     assert len(lines) == 501
 
 
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_scan_chsh_rejects_json_format(from_config, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    if from_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "json"}))
+        extra = ("--config", str(config))
+    else:
+        extra = ("--format", "json")
+    assert run_cli("scan-chsh", "--count", "4", "--out", str(out), *extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--format json" in err
+    assert not out.exists()
+    assert run_cli("scan-chsh", "--count", "4", "--format", "csv", "--out", str(out)) == 0
+
+
+def test_compare_hardy_certifies_theta_zero_at_seed_41065(tmp_path):
+    # At this seed theta = 0's own Sobol' starts miss the root; the scan's
+    # continuation from the next theta finds it.
+    out = tmp_path / "hardy.json"
+    assert run_cli("compare", "--state", "hardy", "--seed", "41065", "--out", str(out)) == 0
+    labels = [row.label for row in ComparisonReport.from_json(out.read_text()).rows]
+    assert sum(label.startswith("hardy_model[0.000000,") for label in labels) == 4
+    assert not any(label.startswith("hardy_model.unsolved[0.000000]") for label in labels)
+
+
+def test_scan_chsh_writes_its_csv_without_holding_the_text(tmp_path):
+    # The CSV goes to the file chunk by chunk: writing it must cost less
+    # memory than the text itself would take.
+    import tracemalloc
+
+    out = tmp_path / "sweep.csv"
+    assert run_cli("scan-chsh", "--count", "100", "--out", str(out)) == 0
+
+    def peak(*argv):
+        tracemalloc.start()
+        try:
+            assert run_cli("scan-chsh", "--count", "40000", *argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    writing = peak("--out", str(out)) - peak()
+    assert writing < out.stat().st_size
+
+
 def test_mc_command(tmp_path):
     out = tmp_path / "mc.json"
     code = run_cli("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",

@@ -311,3 +311,129 @@ def test_singular_system_does_not_fail_the_stack():
     step = lrmodel._batched_solve(a, b)
     assert np.array_equal(step[0], np.ones(7)) and np.array_equal(step[2], np.full(7, 0.5))
     assert np.isnan(step[1]).all()
+
+
+def test_per_row_theta_kernels_match_scalar_theta_bit_for_bit():
+    # 19 grid thetas, each with its own rows: one per-row-theta call must
+    # give the bits of 19 scalar-theta calls.
+    thetas = np.linspace(0.0, math.pi / 2, 19)
+    x = RNG.uniform(-4.0, 4.0, (19, 50, 7))
+    per_row = lrmodel._product_residuals(x.reshape(-1, 7), np.repeat(thetas, 50))
+    scalar = np.concatenate([lrmodel._product_residuals(xi, t) for xi, t in zip(x, thetas)])
+    assert np.array_equal(per_row, scalar)
+    x = x[:, :40]
+    per_row = lrmodel._product_jacobian(x.reshape(-1, 7), np.repeat(thetas, 40))
+    scalar = np.concatenate([lrmodel._product_jacobian(xi, t) for xi, t in zip(x, thetas)])
+    assert per_row.shape == (760, 13, 7) and np.array_equal(per_row, scalar)
+
+
+def test_per_row_theta_broadcasts_against_the_leading_shape():
+    thetas = RNG.uniform(0.0, math.pi / 2, (3, 4))
+    x = RNG.uniform(-4.0, 4.0, (3, 4, 7))
+    stack = lrmodel._product_residuals(x, thetas)
+    assert stack.shape == (3, 4, 13)
+    for i, j in np.ndindex(3, 4):
+        assert np.array_equal(stack[i, j], lrmodel._product_residuals(x[i, j], thetas[i, j]))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_jacobian_equals_the_full_complex_step_stack(theta):
+    # The Jacobian takes complex cos/sin only on the perturbed diagonal; the
+    # derivatives must be those of the whole complex stack, bit for bit.
+    x = RNG.uniform(-4.0, 4.0, (70, 7))
+    h = lrmodel._COMPLEX_STEP
+    full = lrmodel._product_residuals(x[:, None, :] + (1j * h) * np.eye(7), theta)
+    assert np.array_equal(lrmodel._product_jacobian(x, theta), np.swapaxes(full.imag, -1, -2) / h)
+
+
+HARDY_GRID_0_90_19 = np.linspace(0.0, math.pi / 2, 19)
+
+
+@pytest.mark.parametrize("seed", [41065, 42814])
+@pytest.mark.parametrize("grid", [CANONICAL_THETAS, HARDY_GRID_0_90_19], ids=["canonical", "0:90:19"])
+def test_scan_certifies_theta_zero_where_a_lone_solve_misses_it(seed, grid):
+    # At these seeds the 32 Sobol' starts at theta = 0 all stall near 0.767;
+    # the restart from the next grid point's best finds the root.
+    rows = lrmodel.scan_hardy(grid, seed=seed)
+    assert [row.solved for row in rows] == [True] + [False] * (len(grid) - 1)
+    assert rows[0].angles.residual_norm < 1e-12
+
+
+def _sequential_scan_norms(thetas, seed):
+    """Best residual norms of the one-theta-at-a-time scan, each solve
+    started from the previous theta's answer as well as its Sobol' points."""
+    norms, prev = [], None
+    for i, theta in enumerate(thetas):
+        prev = lrmodel.solve_hardy(float(theta), init=prev, seed=seed + i)
+        norms.append(prev.residual_norm)
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20240901])
+def test_two_pass_scan_is_never_worse_than_the_sequential_scan(seed):
+    grid = np.linspace(0.0, math.pi / 2, 7)
+    rows = lrmodel.scan_hardy(grid, seed=seed)
+    norms = np.array([row.angles.residual_norm for row in rows])
+    assert np.all(norms <= _sequential_scan_norms(grid, seed) + 1e-9)
+
+
+def _count_solver_calls(monkeypatch):
+    calls = []
+    solve = lrmodel._solve_lm
+
+    def counted(x0, theta):
+        calls.append(len(x0))
+        return solve(x0, theta)
+
+    monkeypatch.setattr(lrmodel, "_solve_lm", counted)
+    return calls
+
+
+def test_scan_of_the_19_point_grid_is_one_call_per_pass(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    lrmodel.scan_hardy(HARDY_GRID_0_90_19, seed=3)
+    # Pass 1: 19 x 32 starts; pass 2: both neighbours of each point.
+    assert calls == [19 * 32, 2 * 18]
+
+
+def test_one_point_scan_has_no_continuation_pass(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    (row,) = lrmodel.scan_hardy([0.0], seed=11)
+    assert calls == [32]
+    assert row.angles == lrmodel.solve_hardy(0.0, seed=11)
+    assert row.diverged == 0
+
+
+def test_scan_peak_memory_does_not_grow_with_the_grid(monkeypatch):
+    # With 32-row calls at 8 starts, 4 thetas fill one pass-1 call and 12
+    # need three; the peak must stay about that of one call.
+    import tracemalloc
+
+    monkeypatch.setattr(lrmodel, "_SCAN_MAX_ROWS", 32)
+    calls = _count_solver_calls(monkeypatch)
+    lrmodel.scan_hardy([0.0], starts=2)  # page in numpy's complex arithmetic first
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            lrmodel.scan_hardy(np.linspace(0.1, 1.2, points), starts=8, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_call = peak(4)
+    del calls[:]
+    assert peak(12) <= 1.25 * one_call
+    assert calls == [32, 32, 32, 22]
+
+
+def test_scan_rejects_no_starts():
+    with pytest.raises(ValueError, match="starts must be at least 1"):
+        lrmodel.scan_hardy([0.0], starts=0)
+    assert lrmodel.scan_hardy([]) == []
+
+
+def test_scan_failure_carries_best_iterate():
+    with pytest.raises(lrmodel.HardySolverError, match="all 33 starts diverged") as err:
+        lrmodel.scan_hardy([0.0, float("nan")], seed=4)
+    assert err.value.best is not None

@@ -2,7 +2,10 @@
 means, CLT behavior of the oriented parts, worker invariance, and the
 flagged sign channel."""
 
+import concurrent.futures
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,7 +230,8 @@ def test_worker_pool_is_clamped_to_spans_and_cpus(cpus, pool_size, monkeypatch):
         def map(self, fn, items):
             return list(map(fn, items))
 
-    monkeypatch.setattr(mcsim, "ThreadPoolExecutor", InlinePool)
+    # _orientation_sum imports the pool class when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(mcsim.os, "cpu_count", lambda: cpus)
     trials = 3 * B + 17  # 4 spans
     stream = mcsim.LambdaStream(5)
@@ -241,3 +245,13 @@ def test_trials_above_the_counter_range_are_rejected():
     mcsim.EnsembleConfig(exp, trials=2**64, seed=1)  # built only, never run
     with pytest.raises(ValueError, match="2\\*\\*64"):
         mcsim.EnsembleConfig(exp, trials=2**64 + 1, seed=1)
+
+
+def test_importing_the_cli_does_not_import_the_thread_pool():
+    # Only a run with more than one worker needs concurrent.futures.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spherelab.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
