@@ -236,6 +236,23 @@ PINNED_ARTIFACTS = [
       "--delta", "40", "--unit", "deg", "--trials", "200001", "--weight-plus", "0.3",
       "--seed", "5", "--format", "csv"), "ghz3.csv",
      "fe60854a06fbbce462426148636f2549a1f146f5d6a46cdb47eeed1e7a3910b7"),
+    # Comparison reports as written by the dataclasses.asdict / json.dumps and
+    # per-row csv.writer route, before the column-backed report and its
+    # template writer.
+    (("compare", "--state", "all", "--samples", "20", "--seed", "7"), "compare.json",
+     "0a30cb0b51ad7fdd4cfc9b04f3d417b3dfc285f5e22659c37b82164bd2bb65d1"),
+    (("compare", "--state", "all", "--samples", "20", "--seed", "7", "--format", "csv"),
+     "compare.csv", "d84b8c0b44033beae1a0399597144bd3791a6e61eb6818b4b2631de43e5f4e7f"),
+    (("identities", "--samples", "200"), "identities.json",
+     "585e91aaff092c90d4adf227056e803cf035a32b2fd32a0f9ad0e22add0b8d68"),
+    (("model", "--which", "ghz4", "--mode", "table", "--table", "cyclic-124",
+      "--angles", "30,10,70,20,110,30,150,40", "--unit", "deg"), "ghz4.json",
+     "2b4fb9f17a5dba9d95eacecfeefddd8b073c81522ffa05debe1df255b41d535f"),
+    # theta = 30 deg does not certify, so this is the .info rewrite.
+    (("model", "--which", "hardy", "--theta", "30", "--unit", "deg"), "hardy.json",
+     "ca3ec5e7c7ea76facf46d1a74bbd08ba7b09b173e711b10971ca63a5d644c55f"),
+    (("qm", "--state", "hardy", "--theta", "45", "--unit", "deg", "--format", "csv"),
+     "hardy_amplitudes.csv", "3d039c9fb0b3aefbc0a5b53848ceec3c028a06754ebdf92951971006a53ee696"),
 ]
 
 
