@@ -40,6 +40,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ import numpy as np
 from . import compare, identities, lrmodel, mcsim, qmref
 from .compare import DEFAULT_TOLERANCES
 from .geometry import coplanar_direction, spherical_direction, to_radians
-from .lrmodel import ComparisonReport, ComparisonRow, make_row
+from .report import CHUNK_ROWS, ComparisonReport
 from .sphere7 import BUILTIN_TABLES
 
 OUTDIR_ENV = "SPHERELAB_OUTDIR"
@@ -115,7 +116,7 @@ def write_report(report, path, fmt: str):
         raise UsageError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = _resolve_out(path)
     if isinstance(report, ComparisonReport):
-        text = report.to_json() + "\n" if fmt == "json" else report.to_csv()
+        text = chain(report.json_chunks(), "\n") if fmt == "json" else report.csv_chunks()
     elif isinstance(report, mcsim.EnsembleReport):
         text = report.to_json() + "\n" if fmt == "json" else _ensemble_csv(report)
     elif isinstance(report, dict):
@@ -310,15 +311,6 @@ def _tolerances(args) -> dict:
     return tol
 
 
-def _gated(report: ComparisonReport, strict_table: bool, tolerances) -> list:
-    """(row, tolerance) for each row that gates the exit status: one whose
-    tolerance is finite. The one exception is --strict-table, which holds
-    the table-vs-pinned rows to the algebraic tolerance in effect."""
-    pairs = ((row, tolerances["algebraic"] if strict_table and "table_vs_pinned_z" in row.label
-              else row.tolerance) for row in report.rows)
-    return [(row, tol) for row, tol in pairs if math.isfinite(tol)]
-
-
 def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
     """Write the artifact if --out is given and print the summary; for a
     comparison, exit 1 iff a gated row mismatches (a NaN residual included)."""
@@ -327,17 +319,27 @@ def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
         path = write_report(report, args.out, fmt)
         print(f"wrote {path}")
     if isinstance(report, ComparisonReport):
-        gated = _gated(report, getattr(args, "strict_table", False), tolerances)
-        bad = [(row, tol) for row, tol in gated if not abs(row.residual) <= tol]
-        worst = max(gated, default=None, key=lambda item: (
-            math.inf if math.isnan(item[0].residual) else abs(item[0].residual)))
-        peak = (f"max gated |residual| = {abs(worst[0].residual):.3e} ({worst[0].label})"
-                if worst else "no gated rows")
-        print(f"{len(report.rows)} rows, {peak}, gated mismatches: {len(bad)}")
-        for row, tol in bad[:20]:
-            print(f"  MISMATCH {row.label}: model={row.model!r} oracle={row.oracle!r} "
-                  f"residual={row.residual:.3e} tol={tol:g}")
-        return 1 if bad else 0
+        # A row gates iff its tolerance is finite; --strict-table holds the
+        # table-vs-pinned rows to the algebraic tolerance in effect.
+        tol = report.tolerance
+        if getattr(args, "strict_table", False):
+            tol = np.where(["table_vs_pinned_z" in label for label in report.labels],
+                           tolerances["algebraic"], tol)
+        residual = report.residual
+        size = np.abs(residual)
+        gated = np.isfinite(tol)
+        bad = np.flatnonzero(gated & ~(size <= tol))
+        peak = "no gated rows"
+        if gated.any():
+            # The first gated row of the largest |residual|, a NaN one counting as largest.
+            worst = int(np.argmax(np.where(gated, np.where(np.isnan(size), np.inf, size), -1.0)))
+            peak = f"max gated |residual| = {size[worst]:.3e} ({report.labels[worst]})"
+        print(f"{len(report.labels)} rows, {peak}, gated mismatches: {len(bad)}")
+        for i in bad[:20].tolist():
+            print(f"  MISMATCH {report.labels[i]}: model={float(report.model[i])!r} "
+                  f"oracle={float(report.oracle[i])!r} residual={residual[i]:.3e} "
+                  f"tol={tol[i]:g}")
+        return 1 if len(bad) else 0
     if isinstance(report, mcsim.EnsembleReport):
         print(f"scalar_mean={report.scalar_mean!r} sign_channel_mean={report.sign_channel_mean!r} "
               f"trials={report.trials} seed={report.seed}")
@@ -357,22 +359,15 @@ def cmd_identities(args) -> int:
 
 def cmd_qm(args) -> int:
     tol = _tolerances(args)
-    rows = []
-    meta = {"command": "qm", "state": args.state}
+    report = ComparisonReport(meta={"command": "qm", "state": args.state})
     if args.state == "hardy":
         if args.theta is None:
             raise UsageError("--theta required for the hardy state")
         theta = _angle(args, "theta", _require_unit_flag(args))
-        for s1, s2 in qmref.HARDY_PAIRS:
-            rows.append(
-                make_row(
-                    f"hardy_amplitude[{s1},{s2}]",
-                    qmref.hardy_amplitude_closed_form(theta, s1, s2),
-                    qmref.hardy_amplitude(theta, s1, s2),
-                    tol["algebraic"],
-                )
-            )
-        meta["theta"] = theta
+        report.add([f"hardy_amplitude[{s1},{s2}]" for s1, s2 in qmref.HARDY_PAIRS],
+                   qmref.hardy_closed_forms([theta])[0], qmref.hardy_amplitudes([theta])[0],
+                   tol["algebraic"])
+        report.meta["theta"] = theta
     elif args.state in ("singlet", "ghz3", "ghz4"):
         n_sites = {"singlet": 2, "ghz3": 3, "ghz4": 4}[args.state]
         values = _load_angles(args)
@@ -392,13 +387,11 @@ def cmd_qm(args) -> int:
             alpha, delta = _angle(args, "alpha", unit), _angle(args, "delta", unit)
             state = qmref.ghz3_state(alpha, delta)
             closed = qmref.ghz3_expectation_closed_form(theta_ang, phi_ang, alpha, delta)
-            meta.update(alpha=alpha, delta=delta)
+            report.meta.update(alpha=alpha, delta=delta)
         oracle = qmref.tensor_expectation(state, qmref.SpinObservable(tuple(dirs)))
-        rows.append(make_row(f"{args.state}.expectation", closed, oracle,
-                             tol["algebraic"]))
+        report.add([f"{args.state}.expectation"], closed, oracle, tol["algebraic"])
     else:
         raise UsageError(f"unknown state {args.state!r}")
-    report = ComparisonReport(rows, meta=meta)
     return _emit(args, report)
 
 
@@ -421,27 +414,20 @@ def cmd_model(args) -> int:
             ]
             # Angle system not certified: joint-prediction rows are
             # informational at this theta.
-            report.rows = [
-                ComparisonRow(r.label + ".info", r.model, r.oracle, r.residual, float("inf"), "match")
-                if not r.label.startswith("hardy_oriented")
-                else r
-                for r in report.rows
-            ]
+            info = [not label.startswith("hardy_oriented") for label in report.labels]
+            report.labels = [label + ".info" if i else label
+                             for label, i in zip(report.labels, info)]
+            report.tolerance = np.where(info, math.inf, report.tolerance)
         return _emit(args, report)
 
     if which == "singlet":
         values = _load_angles(args)
         dirs = _directions_from_pairs(values, _require_unit_flag(args), 2)
         point = lrmodel.singlet_product_point(*dirs)
-        report = ComparisonReport(
-            [
-                make_row("singlet.model", lrmodel.singlet_correlation(*dirs),
-                         qmref.pair_expectation(qmref.singlet_state(), *dirs),
-                         tol["algebraic"]),
-                make_row("singlet.oriented_magnitude", point.g, 0.0, float("inf")),
-            ],
-            meta={"command": "model", "which": "singlet"},
-        )
+        report = ComparisonReport(meta={"command": "model", "which": "singlet"}).add(
+            ["singlet.model", "singlet.oriented_magnitude"], [point.f, point.g],
+            [qmref.pair_expectation(qmref.singlet_state(), *dirs), 0.0],
+            [tol["algebraic"], math.inf])
         return _emit(args, report)
 
     if which == "chsh":
@@ -450,15 +436,10 @@ def cmd_model(args) -> int:
             raise UsageError("chsh takes 4 coplanar angles: a,a',b,b'")
         t = to_radians(values, _require_unit_flag(args))
         dirs = [coplanar_direction(ti) for ti in t]
-        report = ComparisonReport(
-            [
-                make_row("chsh.model", lrmodel.chsh_model(*dirs),
-                         qmref.chsh_qm(qmref.singlet_state(), *dirs),
-                         tol["algebraic"]),
-                make_row("chsh.bound", lrmodel.chsh_model_bound(*dirs), 0.0, float("inf")),
-            ],
-            meta={"command": "model", "which": "chsh"},
-        )
+        report = ComparisonReport(meta={"command": "model", "which": "chsh"}).add(
+            ["chsh.model", "chsh.bound"],
+            [lrmodel.chsh_model(*dirs), lrmodel.chsh_model_bound(*dirs)],
+            [qmref.chsh_qm(qmref.singlet_state(), *dirs), 0.0], [tol["algebraic"], math.inf])
         return _emit(args, report)
 
     if which in ("ghz3", "ghz4"):
@@ -519,14 +500,9 @@ def cmd_solve_hardy(args) -> int:
     return 0
 
 
-# Rows formatted per repr call in _float_csv: one repr of the whole table
-# would hold every row's text at once and raise the peak memory.
-CSV_CHUNK_ROWS = 4096
-
-
 def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
     """CSV text of a 2-D float table, each value written as repr(float(x)),
-    as one chunk of lines per CSV_CHUNK_ROWS rows, so that a writer never
+    as one chunk of lines per CHUNK_ROWS rows, so that a writer never
     holds the whole text.
 
     A chunk's list repr is "[[x, y], [z, w]]" with every float in repr form;
@@ -534,8 +510,8 @@ def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
     exactly the per-value rows.
     """
     yield header + "\n"
-    for lo in range(0, len(table), CSV_CHUNK_ROWS):
-        text = repr(table[lo:lo + CSV_CHUNK_ROWS].tolist())
+    for lo in range(0, len(table), CHUNK_ROWS):
+        text = repr(table[lo:lo + CHUNK_ROWS].tolist())
         yield text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
 
 

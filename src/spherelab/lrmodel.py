@@ -29,23 +29,21 @@ Contents:
     is reported, never asserted),
   * the canonical f/g/N decomposition of grouped products of beables.
 
-Comparison results are collected into ComparisonReport rows
-(label, model, oracle, residual, tolerance, verdict).
+Comparison results are collected into column-backed ComparisonReports
+(spherelab.report).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qmref
 from .ga3 import Multivector3, product_chain
-from .geometry import require_unit, spherical_direction
+from .geometry import require_unit, require_units, spherical_direction
+from .report import ComparisonReport, ComparisonRow  # noqa: F401  (ComparisonRow re-exported)
 from .sphere7 import (
     CrossTable,
     SevenPoint,
@@ -58,66 +56,6 @@ from .sphere7 import (
 )
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# comparison report plumbing
-# ---------------------------------------------------------------------------
-
-CSV_COLUMNS = ("label", "model", "oracle", "residual", "tolerance", "verdict")
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    label: str
-    model: float
-    oracle: float
-    residual: float
-    tolerance: float
-    verdict: str
-
-
-def make_row(label: str, model: float, oracle: float, tolerance: float) -> ComparisonRow:
-    residual = float(model) - float(oracle)
-    verdict = "match" if abs(residual) <= tolerance else "mismatch"
-    return ComparisonRow(label, float(model), float(oracle), residual, float(tolerance), verdict)
-
-
-@dataclass
-class ComparisonReport:
-    rows: list
-    meta: dict = field(default_factory=dict)
-
-    def extend(self, rows):
-        self.rows.extend(rows)
-
-    def mismatches(self) -> list:
-        return [r for r in self.rows if r.verdict == "mismatch"]
-
-    def max_abs_residual(self) -> float:
-        return max((abs(r.residual) for r in self.rows), default=0.0)
-
-    def to_json_obj(self) -> dict:
-        return {"meta": self.meta, "rows": [asdict(r) for r in self.rows]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, doc: str) -> "ComparisonReport":
-        data = json.loads(doc)
-        rows = [ComparisonRow(**row) for row in data["rows"]]
-        return cls(rows, data["meta"])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow(
-                [r.label, repr(r.model), repr(r.oracle), repr(r.residual), repr(r.tolerance), r.verdict]
-            )
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +141,38 @@ def canonical_decomposition(beables, space: str, table: CrossTable | None = None
 # ---------------------------------------------------------------------------
 
 
+def _inner(x, y) -> np.ndarray:
+    """x . y over the last axis, kept as a length-1 axis. Each row is one BLAS
+    inner product, the same bits as np.dot on that row, so a batched kernel
+    and its one-row wrapper give the values a per-row np.dot gave."""
+    return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0]
+
+
+def singlet_correlations(a, b) -> np.ndarray:
+    """Scalar part of the two-beable product point, -a.b, for each row of two
+    (..., 3) stacks of unit directions; orientation-free."""
+    return -_inner(require_units(a), require_units(b))[..., 0]
+
+
 def singlet_correlation(a, b) -> float:
-    """Scalar part of the two-beable product point: -a.b, orientation-free."""
-    a, b = require_unit(a), require_unit(b)
-    return -float(np.dot(a, b))
+    return float(singlet_correlations(require_unit(a), require_unit(b)))
 
 
 def singlet_product_point(a, b) -> DecompositionResult:
-    a, b = require_unit(a), require_unit(b)
-    oriented = -np.cross(a, b)
-    return DecompositionResult(-float(np.dot(a, b)), float(np.linalg.norm(oriented)), oriented, "S3")
+    oriented = -np.cross(require_unit(a), require_unit(b))
+    return DecompositionResult(singlet_correlation(a, b), float(np.linalg.norm(oriented)),
+                               oriented, "S3")
+
+
+def chsh_models(a, ap, b, bp) -> np.ndarray:
+    """-cos(ab) - cos(ab') - cos(a'b) + cos(a'b') with a normalized ensemble,
+    for each row of four (..., 3) stacks of unit directions."""
+    a, ap, b, bp = (require_units(v) for v in (a, ap, b, bp))
+    return (-_inner(a, b) - _inner(a, bp) - _inner(ap, b) + _inner(ap, bp))[..., 0]
 
 
 def chsh_model(a, ap, b, bp) -> float:
-    """-cos(ab) - cos(ab') - cos(a'b) + cos(a'b') with a normalized ensemble."""
-    a, ap, b, bp = (require_unit(v) for v in (a, ap, b, bp))
-    return -float(np.dot(a, b)) - float(np.dot(a, bp)) - float(np.dot(ap, b)) + float(np.dot(ap, bp))
+    return float(chsh_models(*(require_unit(v) for v in (a, ap, b, bp))))
 
 
 def chsh_product_point(a, ap, b, bp) -> DecompositionResult:
@@ -872,9 +826,7 @@ def hardy_joint(
     scalar is c1 c2 - s1 s2 (u . v), with the dot products fixed by the
     Hardy geometry (a.b = 1, a'.b = a.b' = cos 2 theta, a'.b' = 1).
     """
-    c1, s1, u = _tilt_components(angles, pair[0], swapped_b_minus)
-    c2, s2, v = _tilt_components(angles, pair[1], swapped_b_minus)
-    return c1 * c2 - s1 * s2 * float(np.dot(u, v))
+    return hardy_point(angles, pair, swapped_b_minus=swapped_b_minus).f
 
 
 def hardy_point(
@@ -900,21 +852,18 @@ def hardy_report(
     non-vanishing one) are gated: those are the ones the constraint system
     pins for any solution.  The other twelve are measurements.
     """
-    rows = []
-    for s1, s2 in qmref.HARDY_PAIRS:
-        model = hardy_joint(angles, (s1, s2), swapped_b_minus=swapped_b_minus)
-        oracle = qmref.hardy_amplitude(angles.theta, s1, s2)
-        tol = tol_joint if (s1, s2) in HEADLINE_HARDY_PAIRS else float("inf")
-        rows.append(make_row(f"hardy[{s1},{s2}]", model, oracle, tol))
-        point = hardy_point(angles, (s1, s2), swapped_b_minus=swapped_b_minus)
-        rows.append(make_row(f"hardy_oriented_magnitude[{s1},{s2}]", point.g, 0.0, float("inf")))
-    return ComparisonReport(
-        rows,
-        meta={
-            "theta": angles.theta,
-            "residual_norm": angles.residual_norm,
-            "swapped_b_minus": swapped_b_minus,
-        },
+    points = [hardy_point(angles, pair, swapped_b_minus=swapped_b_minus)
+              for pair in qmref.HARDY_PAIRS]
+    tol = [tol_joint if pair in HEADLINE_HARDY_PAIRS else math.inf for pair in qmref.HARDY_PAIRS]
+    oracle = qmref.hardy_amplitudes([angles.theta])[0]
+    # Each pair's joint row, then its oriented-magnitude row.
+    return ComparisonReport(meta={"theta": angles.theta, "residual_norm": angles.residual_norm,
+                                  "swapped_b_minus": swapped_b_minus}).add(
+        [f"{name}[{s1},{s2}]" for s1, s2 in qmref.HARDY_PAIRS
+         for name in ("hardy", "hardy_oriented_magnitude")],
+        [value for p in points for value in (p.f, p.g)],
+        np.column_stack((oracle, np.zeros(16))).ravel(),
+        np.column_stack((tol, np.full(16, math.inf))).ravel(),
     )
 
 
@@ -925,13 +874,6 @@ def hardy_report(
 GHZ_MODES = ("pinned_z", "table")
 
 ALGEBRA_ROW_TOL = 1e-12
-
-
-def _inner(x, y) -> np.ndarray:
-    """x . y over the last axis, kept as a length-1 axis. Each row is one BLAS
-    inner product, the same bits as np.dot on that row, so the one-tuple
-    wrappers below give the values the per-tuple pipeline gave."""
-    return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0]
 
 
 def ghz_kernel(embedded, prod_z, table: CrossTable | None = None):
@@ -958,23 +900,22 @@ def ghz_kernel(embedded, prod_z, table: CrossTable | None = None):
     return pinned[..., 0], value_table[..., 0], lagrange[..., 0], deviation
 
 
-def ghz_rows(prefix: str, oracle, values, tol: float, indexed: bool = False) -> list:
+def ghz_report(prefix: str, oracle, values, tol: float, meta: dict,
+               indexed: bool = False) -> ComparisonReport:
     """The four comparison rows of each tuple of a ghz_kernel result, in tuple
     order; labels get the tuple index as a [i] suffix when indexed."""
     pinned, value_table, lagrange, deviation = values
     magnitude = np.sqrt(_inner(deviation, deviation)[..., 0])
-    rows = []
-    for i in range(len(pinned)):
-        at = f"[{i}]" if indexed else ""
-        rows += [
-            make_row(f"{prefix}.pinned_z_vs_oracle{at}", pinned[i], oracle[i], tol),
-            make_row(f"{prefix}.table_vs_lagrange{at}", value_table[i], lagrange[i], tol),
-            # Whether any concrete table realizes the pinned-Z value is an open
-            # measurement; reported per tuple, not gated.
-            make_row(f"{prefix}.table_vs_pinned_z{at}", value_table[i], pinned[i], float("inf")),
-            make_row(f"{prefix}.oriented_magnitude{at}", magnitude[i], 0.0, float("inf")),
-        ]
-    return rows
+    suffixes = [f"[{i}]" for i in range(len(pinned))] if indexed else [""]
+    return ComparisonReport(meta=meta).add(
+        [f"{prefix}.{name}{at}" for at in suffixes for name in (
+            "pinned_z_vs_oracle", "table_vs_lagrange", "table_vs_pinned_z", "oriented_magnitude")],
+        np.column_stack((pinned, value_table, value_table, magnitude)).ravel(),
+        np.column_stack((oracle, lagrange, pinned, np.zeros(len(pinned)))).ravel(),
+        # Whether any concrete table realizes the pinned-Z value is an open
+        # measurement; reported per tuple, not gated.
+        np.tile((tol, tol, math.inf, math.inf), len(pinned)),
+    )
 
 
 def _ghz_point(embedded, table) -> DecompositionResult:
@@ -1002,8 +943,8 @@ def _ghz_model(prefix, embedded, prod_z, oracle, mode, table, tol, meta):
         raise ValueError(f"mode must be one of {GHZ_MODES}, got {mode!r}")
     table = get_table(table)
     values = ghz_kernel(np.stack(embedded)[None], prod_z, table)
-    report = ComparisonReport(ghz_rows(prefix, [oracle], values, tol),
-                              meta={"mode": mode, "table": table.table_id, **meta})
+    report = ghz_report(prefix, [oracle], values, tol,
+                        {"mode": mode, "table": table.table_id, **meta})
     return float(values[0 if mode == "pinned_z" else 1][0]), report
 
 

@@ -129,12 +129,19 @@ def ghz4_state() -> StateVector:
     return StateVector(4, amps)
 
 
+def ghz3_amplitudes(alpha, delta) -> np.ndarray:
+    """The ghz3_state amplitudes for alpha and delta of one broadcast shape:
+    an (..., 8) array, one state per (alpha, delta) pair."""
+    alpha, delta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(delta, float))
+    amps = np.zeros(alpha.shape + (8,), dtype=complex)
+    amps[..., 0b000] = np.cos(alpha / 2)
+    amps[..., 0b111] = np.sin(alpha / 2) * np.exp(-1j * delta)
+    return amps
+
+
 def ghz3_state(alpha: float, delta: float) -> StateVector:
     """cos(a/2)|+++> + sin(a/2) e^{-i d} |--->."""
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = np.cos(alpha / 2)
-    amps[0b111] = np.sin(alpha / 2) * np.exp(-1j * delta)
-    return StateVector(3, amps)
+    return StateVector(3, ghz3_amplitudes(alpha, delta))
 
 
 def general_state(amplitudes) -> StateVector:
@@ -165,26 +172,33 @@ def make_state(kind: str, **params) -> StateVector:
 _PAULI = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
 
 
-def _contraction(k: int) -> str:
+def _contraction(k: int, batch: str = "") -> str:
     """einsum subscripts for <psi| M_1 (x) ... (x) M_k |psi> over a batch z:
-    conj(psi)[rows], one (z, row, col) matrix per site, psi[cols] -> z."""
+    conj(psi)[rows], one (z, row, col) matrix per site, psi[cols] -> z. With
+    batch="z" psi carries the batch axis too, one state per row."""
     rows, cols = "abcd"[:k], "efgh"[:k]
-    return ",".join([rows, *(f"z{r}{c}" for r, c in zip(rows, cols)), cols]) + "->z"
+    return ",".join([batch + rows, *(f"z{r}{c}" for r, c in zip(rows, cols)), batch + cols]) + "->z"
 
 
-def expectations(state: StateVector, directions) -> np.ndarray:
+def expectations(state, directions) -> np.ndarray:
     """<psi| sigma.n_1 (x) ... (x) sigma.n_k |psi> for each row of an (N, k, 3)
     stack of unit directions, by one explicit contraction of the state
-    tensor; returns the N real values, each in [-1, 1]."""
-    k = state.n_qubits
+    tensor; returns the N real values, each in [-1, 1].
+
+    state is a StateVector, or an (N, 2^k) stack of normalized amplitude
+    vectors with one state per direction tuple (ghz3_amplitudes gives one).
+    """
+    amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
+    k = amps.shape[-1].bit_length() - 1
     dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 3 or dirs.shape[1:] != (k, 3):
-        raise ValueError(f"expected an (N, {k}, 3) direction stack for a {k}-qubit state, "
-                         f"got shape {dirs.shape}")
+    if dirs.ndim != 3 or dirs.shape[1:] != (k, 3) or amps.shape[:-1] not in ((), dirs.shape[:1]):
+        raise ValueError(f"expected an (N, {k}, 3) direction stack for {amps.shape} "
+                         f"amplitudes, got shape {dirs.shape}")
     require_units(dirs)
     m = (dirs @ _PAULI).reshape(dirs.shape[:-1] + (2, 2))
-    psi = state.amplitudes.reshape((2,) * k)
-    vals = np.einsum(_contraction(k), psi.conj(), *(m[:, i] for i in range(k)), psi)
+    psi = amps.reshape(amps.shape[:-1] + (2,) * k)
+    vals = np.einsum(_contraction(k, "z" * (amps.ndim - 1)), psi.conj(),
+                     *(m[:, i] for i in range(k)), psi)
     if np.any(np.abs(vals.imag) > 1e-12):
         worst = float(vals.imag[np.argmax(np.abs(vals.imag))])
         raise AssertionError(f"expectation has imaginary residue {worst!r}")
@@ -214,43 +228,47 @@ def _site_vector(setting: str, theta: float) -> np.ndarray:
     return np.array([ct, st]) if sign == "+" else np.array([-st, ct])
 
 
+def hardy_amplitudes(thetas) -> np.ndarray:
+    """<psi_hardy(theta) | site1 (x) site2> for every HARDY_PAIRS pair at each
+    theta, via explicit basis rotation: a (T, 16) array from one batched
+    product of each state with its sixteen two-site product vectors."""
+    thetas = np.asarray(thetas, dtype=float).tolist()
+    psi = np.array([hardy_state(t).amplitudes for t in thetas])
+    # Both sides' settings are (+, -, '+, '-), so they share their vectors.
+    sites = np.array([[_site_vector(s, t) for s in SITE1_SETTINGS] for t in thetas])
+    products = (sites[:, :, None, :, None] * sites[:, None, :, None, :]).reshape(-1, 16, 4)
+    return (psi.conj()[:, None, :] @ products.transpose(0, 2, 1))[:, 0, :].real
+
+
 def hardy_amplitude(theta: float, site1: str, site2: str) -> float:
-    """<psi_hardy(theta) | site1 (x) site2> via explicit basis rotation."""
-    if site1 not in SITE1_SETTINGS or site2 not in SITE2_SETTINGS:
-        raise ValueError(f"bad setting pair ({site1!r}, {site2!r})")
-    psi = hardy_state(theta).amplitudes
-    product = np.kron(_site_vector(site1, theta), _site_vector(site2, theta))
-    val = complex(np.vdot(psi, product))
-    return val.real
+    """<psi_hardy(theta) | site1 (x) site2>, one entry of hardy_amplitudes."""
+    return float(hardy_amplitudes([theta])[0, HARDY_PAIRS.index((site1, site2))])
+
+
+def hardy_closed_forms(thetas) -> np.ndarray:
+    """The printed closed form of each HARDY_PAIRS amplitude at each theta: a
+    (T, 16) array.
+
+    All share the normalization 1/sqrt(1 + cos^2 t).  Kept separate from
+    hardy_amplitudes so the two routes stay independently checkable.  Each
+    theta is worked in numpy scalars: a vectorized power can differ from
+    libm's pow in the last bit.
+    """
+    rows = []
+    for theta in np.asarray(thetas, dtype=float):
+        ct, st = np.cos(theta), np.sin(theta)
+        c2, c3 = ct**2, ct**3
+        rows.append([-st, ct, 0.0, 1.0,  # a+ with b+, b-, b'+, b'-
+                     ct, 0.0, c2, -st * ct,  # a-
+                     0.0, c2, st * c2, c3,  # a'+
+                     1.0, -st * ct, c3, -st * (1.0 + c2)]  # a'-
+                    / np.sqrt(1.0 + c2))
+    return np.array(rows).reshape(-1, 16)
 
 
 def hardy_amplitude_closed_form(theta: float, site1: str, site2: str) -> float:
-    """The printed closed form for each of the sixteen setting pairs.
-
-    All share the normalization 1/sqrt(1 + cos^2 t).  Kept separate from
-    hardy_amplitude so the two routes stay independently checkable.
-    """
-    ct, st = np.cos(theta), np.sin(theta)
-    s = np.sqrt(1.0 + ct**2)
-    table = {
-        ("a+", "b+"): -st,
-        ("a+", "b-"): ct,
-        ("a+", "b'+"): 0.0,
-        ("a+", "b'-"): 1.0,
-        ("a-", "b+"): ct,
-        ("a-", "b-"): 0.0,
-        ("a-", "b'+"): ct**2,
-        ("a-", "b'-"): -st * ct,
-        ("a'+", "b+"): 0.0,
-        ("a'+", "b-"): ct**2,
-        ("a'+", "b'+"): st * ct**2,
-        ("a'+", "b'-"): ct**3,
-        ("a'-", "b+"): 1.0,
-        ("a'-", "b-"): -st * ct,
-        ("a'-", "b'+"): ct**3,
-        ("a'-", "b'-"): -st * (1.0 + ct**2),
-    }
-    return table[(site1, site2)] / s
+    """The printed closed form of one setting pair, one entry of hardy_closed_forms."""
+    return float(hardy_closed_forms([theta])[0, HARDY_PAIRS.index((site1, site2))])
 
 
 # (a, b), (a, b'), (a', b), (a', b') as indices into an (a, a', b, b') quadruple.

@@ -1,0 +1,135 @@
+"""Comparison reports: model-vs-oracle rows held as columns, and the one
+writer of their JSON and CSV artifacts.
+
+A report holds labels and float64 model, oracle and tolerance columns. The
+residual (model - oracle) and the verdicts derive from them: a row matches
+iff |residual| <= tolerance, so a NaN residual is a mismatch.
+
+The artifact layout is a byte-stable contract: the JSON is what
+json.dumps({"meta": meta, "rows": [row dicts]}, indent=2, sort_keys=True)
+writes, the CSV what csv.writer writes under CSV_COLUMNS, floats in repr
+form. Both stream from one template, CHUNK_ROWS rows per chunk.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from collections import namedtuple
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
+
+CSV_COLUMNS = ("label", "model", "oracle", "residual", "tolerance", "verdict")
+ComparisonRow = namedtuple("ComparisonRow", CSV_COLUMNS)
+# Rows formatted per chunk: one repr of a whole column would hold every
+# row's text at once and raise the peak memory.
+CHUNK_ROWS = 4096
+
+# One row of the indent=2, sort_keys JSON layout (keys in sorted order).
+_JSON_ROW = ('    {{\n      "label": {},\n      "model": {},\n      "oracle": {},\n'
+             '      "residual": {},\n      "tolerance": {},\n      "verdict": "{}"\n    }}')
+
+
+def _reprs(column: np.ndarray, json_form: bool) -> list:
+    """repr(float(x)) of each value of a non-empty float column. Each distinct
+    value (by its bits, so -0.0 and 0.0 stay apart) is formatted once, all of
+    them by one list repr (a float's repr never holds ", "). In json_form inf,
+    -inf and nan are spelled Infinity, -Infinity and NaN, as json writes them."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    text = repr(bits.view(np.float64).tolist())[1:-1]
+    if json_form:
+        text = text.replace("inf", "Infinity").replace("nan", "NaN")
+    return np.array(text.split(", "), dtype=object)[where].tolist()
+
+
+class ComparisonReport:
+    """Comparison rows as columns, plus a meta dict. ComparisonReport(rows,
+    meta) keeps the label, model, oracle and tolerance of ComparisonRow
+    values; builders append whole columns with add()."""
+
+    def __init__(self, rows=(), meta: dict | None = None):
+        self.labels: list = []
+        self.model = self.oracle = self.tolerance = np.empty(0)
+        self.meta = {} if meta is None else meta
+        rows = list(rows)
+        self.add([r.label for r in rows], [r.model for r in rows], [r.oracle for r in rows],
+                 [r.tolerance for r in rows])
+
+    def add(self, labels, model, oracle, tolerance) -> "ComparisonReport":
+        """Append one row per label; model, oracle and tolerance are each a
+        scalar or one value per label. Returns the report."""
+        labels = list(labels)
+        new = [np.broadcast_to(np.asarray(c, dtype=float), (len(labels),))
+               for c in (model, oracle, tolerance)]
+        self.labels += labels
+        self.model, self.oracle, self.tolerance = (
+            np.concatenate((old, add)) for old, add in zip(self.columns()[1:], new))
+        return self
+
+    def columns(self) -> tuple:
+        """(labels, model, oracle, tolerance), as add() takes them."""
+        return self.labels, self.model, self.oracle, self.tolerance
+
+    @property
+    def residual(self) -> np.ndarray:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in float arithmetic
+            return self.model - self.oracle
+
+    def verdicts(self) -> list:
+        return np.where(np.abs(self.residual) <= self.tolerance, "match", "mismatch").tolist()
+
+    @property
+    def rows(self) -> list:
+        """The rows as ComparisonRow values, built from the columns."""
+        return [ComparisonRow(*row) for row in zip(
+            self.labels, self.model.tolist(), self.oracle.tolist(), self.residual.tolist(),
+            self.tolerance.tolist(), self.verdicts())]
+
+    def mismatches(self) -> list:
+        return [row for row in self.rows if row.verdict == "mismatch"]
+
+    def max_abs_residual(self) -> float:
+        return float(np.max(np.abs(self.residual), initial=0.0))
+
+    def _text_chunks(self, json_form: bool):
+        """The six columns as text, CHUNK_ROWS rows at a time; in json_form the
+        labels are JSON string literals."""
+        floats, verdicts = (self.model, self.oracle, self.residual, self.tolerance), self.verdicts()
+        for lo in range(0, len(self.labels), CHUNK_ROWS):
+            part = slice(lo, lo + CHUNK_ROWS)
+            labels = self.labels[part]
+            yield ([encode_basestring_ascii(label) for label in labels] if json_form else labels,
+                   *(_reprs(column[part], json_form) for column in floats), verdicts[part])
+
+    def json_chunks(self):
+        """The JSON text in chunks, without a final newline."""
+        meta = json.dumps(self.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        head = f'{{\n  "meta": {meta},\n  "rows": ['
+        if not self.labels:
+            yield head + "]\n}"
+            return
+        head += "\n"
+        for columns in self._text_chunks(json_form=True):
+            yield head + ",\n".join(map(_JSON_ROW.format, *columns))
+            head = ",\n"
+        yield "\n  ]\n}"
+
+    def csv_chunks(self):
+        yield ",".join(CSV_COLUMNS) + "\n"
+        for columns in self._text_chunks(json_form=False):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(zip(*columns))
+            yield buf.getvalue()
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
+
+    @classmethod
+    def from_json(cls, doc: str) -> "ComparisonReport":
+        data = json.loads(doc)
+        return cls([ComparisonRow(**row) for row in data["rows"]], data["meta"])

@@ -9,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+from collections.abc import Iterator
 
 import pytest
 
@@ -405,6 +406,54 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
     assert (tmp_path / "r.json").exists()
+
+
+def test_comparison_reports_stream_to_the_atomic_writer(tmp_path, monkeypatch):
+    handed, write = [], cli._atomic_write
+
+    def spy(path, text):
+        handed.append(text)
+        return write(path, text)
+
+    monkeypatch.setattr(cli, "_atomic_write", spy)
+    report = compare.compare_singlet(samples=5, seed=1)
+    for fmt in ("json", "csv"):
+        path = cli.write_report(report, tmp_path / f"r.{fmt}", fmt)
+        assert path.read_text() == (report.to_json() + "\n" if fmt == "json" else report.to_csv())
+    assert len(handed) == 2
+    assert all(isinstance(text, Iterator) and not isinstance(text, str) for text in handed)
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_a_failing_stream_leaves_no_partial_artifact(fmt, tmp_path, monkeypatch):
+    def broken(self):
+        yield "label,"
+        raise RuntimeError("formatting failed mid-stream")
+
+    monkeypatch.setattr(ComparisonReport, f"{fmt}_chunks", broken)
+    report = compare.compare_singlet(samples=5, seed=1)
+    fresh, kept = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+    kept.write_text("previous artifact")
+    for path in (fresh, kept):
+        with pytest.raises(RuntimeError):
+            cli.write_report(report, path, fmt)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [kept.name]
+    assert kept.read_text() == "previous artifact"
+
+
+def test_uncertified_hardy_info_rows_take_their_verdict_from_the_columns(tmp_path, monkeypatch):
+    # A NaN .info row is a mismatch, like every other NaN row; being a
+    # measurement (infinite tolerance), it still never gates.
+    nan = float("nan")
+    monkeypatch.setattr(lrmodel, "solve_hardy", lambda theta, **_: lrmodel.HardyAngles(
+        theta, *[nan] * 7, residual_norm=nan))
+    out = tmp_path / "h.json"
+    assert run_cli("model", "--which", "hardy", "--theta", "30", "--unit", "deg",
+                   "--out", str(out)) == 0
+    info = [r for r in ComparisonReport.from_json(out.read_text()).rows
+            if r.label.endswith(".info")]
+    assert len(info) == 16
+    assert all(r.tolerance == float("inf") and r.verdict == "mismatch" for r in info)
 
 
 @pytest.mark.parametrize("config, flag", [

@@ -106,3 +106,44 @@ def test_build_comparison_dispatch():
     with pytest.raises(ValueError, match="unknown state"):
         compare.build_comparison("bogus", 3, 0)
     assert "compare" in spherelab.__all__
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 600, 603])
+def test_batched_singlet_and_chsh_models_keep_the_per_row_bits(seed):
+    rng = np.random.default_rng(seed)
+    dirs = random_unit_vectors(rng, 4 * 300).reshape(300, 4, 3)
+    a, ap, b, bp = dirs.transpose(1, 0, 2)
+    singlet = [-float(np.dot(x, y)) for x, y in zip(a, b)]
+    chsh = [-float(np.dot(w, y)) - float(np.dot(w, z)) - float(np.dot(x, y)) + float(np.dot(x, z))
+            for w, x, y, z in zip(a, ap, b, bp)]
+    assert _bits(lrmodel.singlet_correlations(a, b)) == _bits(singlet)
+    assert _bits(lrmodel.chsh_models(a, ap, b, bp)) == _bits(chsh)
+    assert _bits([lrmodel.chsh_model(*d) for d in dirs[:20]]) == _bits(chsh[:20])
+
+
+def _hardy_reference(theta):
+    """The per-pair routes the batched Hardy oracle and closed forms replace:
+    one np.vdot per pair, and the printed table in numpy scalars."""
+    psi = qmref.hardy_state(theta).amplitudes
+    oracle = [complex(np.vdot(psi, np.kron(qmref._site_vector(s1, theta),
+                                           qmref._site_vector(s2, theta)))).real
+              for s1, s2 in qmref.HARDY_PAIRS]
+    ct, st = np.cos(theta), np.sin(theta)
+    closed = [-st, ct, 0.0, 1.0, ct, 0.0, ct**2, -st * ct, 0.0, ct**2, st * ct**2, ct**3,
+              1.0, -st * ct, ct**3, -st * (1.0 + ct**2)]
+    return oracle, [value / np.sqrt(1.0 + ct**2) for value in closed]
+
+
+def test_batched_hardy_amplitudes_keep_the_per_pair_bits():
+    thetas = np.concatenate((np.linspace(0.0, math.pi / 2, 21), compare.CANONICAL_HARDY_THETAS,
+                             np.random.default_rng(5).uniform(0.0, math.pi / 2, 200)))
+    oracle, closed = zip(*(_hardy_reference(t) for t in thetas.tolist()))
+    assert _bits(qmref.hardy_amplitudes(thetas)) == _bits(oracle)
+    assert _bits(qmref.hardy_closed_forms(thetas)) == _bits(closed)
+    pair = qmref.HARDY_PAIRS.index(("a'-", "b'+"))
+    assert qmref.hardy_amplitude(thetas[3], "a'-", "b'+") == oracle[3][pair]
+    assert qmref.hardy_amplitude_closed_form(thetas[3], "a'-", "b'+") == closed[3][pair]
