@@ -254,6 +254,34 @@ PINNED_ARTIFACTS = [
      "ca3ec5e7c7ea76facf46d1a74bbd08ba7b09b173e711b10971ca63a5d644c55f"),
     (("qm", "--state", "hardy", "--theta", "45", "--unit", "deg", "--format", "csv"),
      "hardy_amplitudes.csv", "3d039c9fb0b3aefbc0a5b53848ceec3c028a06754ebdf92951971006a53ee696"),
+    # qm, model and mc artifacts of every setting, as written while each
+    # command kept its own per-kind parser, before the one setting registry.
+    (("qm", "--state", "singlet", "--angles", "0,0,120,0", "--unit", "deg"), "qm_singlet.json",
+     "a7868739c4e0da552930edaca99135090397a2631a927c8ada819649bea61778"),
+    (("qm", "--state", "ghz3", "--angles", "30,10,70,20,110,30", "--alpha", "20", "--delta", "40",
+      "--unit", "deg"), "qm_ghz3.json",
+     "e524cda0fc22f92940048e469c8efa281db77c88d4923ad484204f1d2123a48b"),
+    (("qm", "--state", "ghz4", "--angles", "30,10,70,20,110,30,150,40", "--unit", "deg"),
+     "qm_ghz4.json", "af963009441077b145f8c9d972ee9f35f66f73334d969e702f51e48dd28e90f6"),
+    (("model", "--which", "singlet", "--angles", "0,0,120,0", "--unit", "deg"),
+     "model_singlet.json", "096354514427c32f5348d16ce05a0237f933af680de77e1b6fd01d2de09d0b30"),
+    (("model", "--which", "chsh", "--angles", "0,90,225,135", "--unit", "deg"),
+     "model_chsh.json", "5ff2c162b091c4a4cb5353280635f8cd9e00db46e7ce9c39488515c473ec37b8"),
+    (("model", "--which", "ghz3", "--mode", "table", "--table", "cyclic-124-mirror",
+      "--angles", "30,10,70,20,110,30", "--alpha", "20", "--delta", "40", "--unit", "deg"),
+     "model_ghz3.json", "88b623d01bd3a95c674da89a96554c750e390307a8dee1352c3b5e51bec3037c"),
+    # theta = 0 certifies at the default seed, so no row is rewritten.
+    (("model", "--which", "hardy", "--theta", "0", "--unit", "deg"), "hardy0.json",
+     "671cd5fa91bfe090966c62c030a8501eaa48aa0d6412f4b9d183673648b76c60"),
+    (("model", "--which", "hardy", "--theta", "30", "--unit", "deg", "--unswapped-b-minus"),
+     "hardy30u.json", "94429e9f6afc6d58000cddb146bbea16763c2f004cad7524decad6957397ceba"),
+    (("mc", "--experiment", "chsh", "--angles", "0,90,45,135", "--unit", "deg",
+      "--trials", "100001", "--seed", "3"), "mc_chsh.json",
+     "befd755a892c94e4a3f1a523c84c4fbd57c63c7b76e9095d7d51afc65eb07c6d"),
+    (("mc", "--experiment", "ghz4", "--angles", "30,10,70,20,110,30,150,40",
+      "--table", "cyclic-124-swap12", "--unit", "deg", "--trials", "100001",
+      "--weight-plus", "0.4", "--seed", "9", "--format", "csv"), "mc_ghz4.csv",
+     "dcdef782487f1089d47e397d1c3b02e0a610560aa3b2200a42154bac5ab7948d"),
 ]
 
 
