@@ -1,7 +1,10 @@
 """Command-line front end: it parses arguments, merges --config and
 tolerance overrides, gates, prints summaries and writes artifacts. The
-reports themselves come from the library (spherelab.compare builds the
-`compare` report).
+reports themselves come from the library: spherelab.compare builds the
+`compare`, `qm` and `model` reports, spherelab.mcsim runs the `mc` ensemble.
+The settings of qm, model and mc are parsed in one place (_setting), into a
+spherelab.mcsim.Experiment whose kind in mcsim.EXPERIMENTS names the
+directions and numbers it takes.
 
 Subcommands:
   identities    algebra/kernel invariant sweeps (all built-in cross tables)
@@ -45,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compare, identities, lrmodel, mcsim, qmref
+from . import compare, identities, lrmodel, mcsim
 from .compare import DEFAULT_TOLERANCES
 from .geometry import coplanar_direction, spherical_direction, to_radians
 from .report import CHUNK_ROWS, ComparisonReport
@@ -276,18 +279,47 @@ def _require_unit_flag(args) -> str:
     return args.unit
 
 
-def _directions_from_pairs(values: list[float], unit: str, n_sites: int) -> list[np.ndarray]:
-    if len(values) != 2 * n_sites:
-        raise UsageError(f"expected {2 * n_sites} numbers (theta,phi per site), got {len(values)}")
+# What qm, model and mc call the setting they take, for their messages.
+SETTING_NOUNS = {"qm": "state", "model": "model", "mc": "experiment"}
+
+
+def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
+    """The experiment of kind given by --angles or --angles-file, with its
+    numbers (ghz3's --alpha, --delta), and its angles in radians: a coplanar
+    angle per site for chsh, theta,phi per site for every other kind."""
+    spec = mcsim.EXPERIMENTS[kind]
+    values = _load_angles(args)
+    unit = _require_unit_flag(args)
     rad = to_radians(values, unit)
-    return [spherical_direction(rad[2 * i], rad[2 * i + 1]) for i in range(n_sites)]
+    n_sites = len(spec.directions)
+    if kind == "chsh":
+        if len(values) != n_sites:
+            raise UsageError("chsh takes 4 coplanar angles: a,a',b,b'")
+        dirs = [coplanar_direction(t) for t in rad]
+    else:
+        if len(values) != 2 * n_sites:
+            raise UsageError(f"expected {2 * n_sites} numbers (theta,phi per site), got {len(values)}")
+        dirs = [spherical_direction(rad[2 * i], rad[2 * i + 1]) for i in range(n_sites)]
+    if any(getattr(args, name) is None for name in spec.numbers):
+        raise UsageError(f"{' and '.join('--' + name for name in spec.numbers)} required "
+                         f"for the {kind} {SETTING_NOUNS[args.command]}")
+    numbers = [_angle(args, name, unit) for name in spec.numbers]
+    return mcsim.Experiment(kind, tuple(dirs), tuple(numbers)), rad
+
+
+def _theta(args) -> float:
+    """--theta of the hardy setting, in radians."""
+    if args.theta is None:
+        raise UsageError(f"--theta required for the hardy {SETTING_NOUNS[args.command]}")
+    return _angle(args, "theta", _require_unit_flag(args))
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
         raise UsageError(f"grid must be start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
         raise UsageError(f"grid needs count >= 1 and finite bounds, got {text!r}")
     return np.linspace(start, stop, count)
@@ -359,107 +391,21 @@ def cmd_identities(args) -> int:
 
 def cmd_qm(args) -> int:
     tol = _tolerances(args)
-    report = ComparisonReport(meta={"command": "qm", "state": args.state})
     if args.state == "hardy":
-        if args.theta is None:
-            raise UsageError("--theta required for the hardy state")
-        theta = _angle(args, "theta", _require_unit_flag(args))
-        report.add([f"hardy_amplitude[{s1},{s2}]" for s1, s2 in qmref.HARDY_PAIRS],
-                   qmref.hardy_closed_forms([theta])[0], qmref.hardy_amplitudes([theta])[0],
-                   tol["algebraic"])
-        report.meta["theta"] = theta
-    elif args.state in ("singlet", "ghz3", "ghz4"):
-        n_sites = {"singlet": 2, "ghz3": 3, "ghz4": 4}[args.state]
-        values = _load_angles(args)
-        unit = _require_unit_flag(args)
-        dirs = _directions_from_pairs(values, unit, n_sites)
-        rad = to_radians(values, unit)
-        theta_ang, phi_ang = rad[0::2], rad[1::2]
-        if args.state == "singlet":
-            state = qmref.singlet_state()
-            closed = -float(np.dot(dirs[0], dirs[1]))
-        elif args.state == "ghz4":
-            state = qmref.ghz4_state()
-            closed = qmref.ghz4_expectation_closed_form(theta_ang, phi_ang)
-        else:
-            if args.alpha is None or args.delta is None:
-                raise UsageError("--alpha and --delta required for the ghz3 state")
-            alpha, delta = _angle(args, "alpha", unit), _angle(args, "delta", unit)
-            state = qmref.ghz3_state(alpha, delta)
-            closed = qmref.ghz3_expectation_closed_form(theta_ang, phi_ang, alpha, delta)
-            report.meta.update(alpha=alpha, delta=delta)
-        oracle = qmref.tensor_expectation(state, qmref.SpinObservable(tuple(dirs)))
-        report.add([f"{args.state}.expectation"], closed, oracle, tol["algebraic"])
-    else:
-        raise UsageError(f"unknown state {args.state!r}")
-    return _emit(args, report)
+        return _emit(args, compare.qm_hardy_report(_theta(args), tol))
+    experiment, angles = _setting(args, args.state)
+    return _emit(args, compare.qm_report(experiment, angles, tol))
 
 
 def cmd_model(args) -> int:
     tol = _tolerances(args)
-    which = args.which
-    if which == "hardy":
-        if args.theta is None:
-            raise UsageError("--theta required for the hardy model")
-        theta = _angle(args, "theta", _require_unit_flag(args))
-        angles = lrmodel.solve_hardy(theta, starts=args.starts, seed=args.seed)
-        report = lrmodel.hardy_report(angles, tol_joint=tol["solver_prediction"],
-                                      swapped_b_minus=not args.unswapped_b_minus)
-        if not angles.solved(tol["solver_residual"]):
-            res = lrmodel.hardy_residuals(angles)
-            report.meta["failing"] = [
-                {"label": l, "residual": float(r)}
-                for l, r in zip(lrmodel.RESIDUAL_LABELS, res)
-                if abs(r) > tol["solver_residual"]
-            ]
-            # Angle system not certified: joint-prediction rows are
-            # informational at this theta.
-            info = [not label.startswith("hardy_oriented") for label in report.labels]
-            report.labels = [label + ".info" if i else label
-                             for label, i in zip(report.labels, info)]
-            report.tolerance = np.where(info, math.inf, report.tolerance)
-        return _emit(args, report)
-
-    if which == "singlet":
-        values = _load_angles(args)
-        dirs = _directions_from_pairs(values, _require_unit_flag(args), 2)
-        point = lrmodel.singlet_product_point(*dirs)
-        report = ComparisonReport(meta={"command": "model", "which": "singlet"}).add(
-            ["singlet.model", "singlet.oriented_magnitude"], [point.f, point.g],
-            [qmref.pair_expectation(qmref.singlet_state(), *dirs), 0.0],
-            [tol["algebraic"], math.inf])
-        return _emit(args, report)
-
-    if which == "chsh":
-        values = _load_angles(args)
-        if len(values) != 4:
-            raise UsageError("chsh takes 4 coplanar angles: a,a',b,b'")
-        t = to_radians(values, _require_unit_flag(args))
-        dirs = [coplanar_direction(ti) for ti in t]
-        report = ComparisonReport(meta={"command": "model", "which": "chsh"}).add(
-            ["chsh.model", "chsh.bound"],
-            [lrmodel.chsh_model(*dirs), lrmodel.chsh_model_bound(*dirs)],
-            [qmref.chsh_qm(qmref.singlet_state(), *dirs), 0.0], [tol["algebraic"], math.inf])
-        return _emit(args, report)
-
-    if which in ("ghz3", "ghz4"):
-        n_sites = 3 if which == "ghz3" else 4
-        values = _load_angles(args)
-        unit = _require_unit_flag(args)
-        dirs = _directions_from_pairs(values, unit, n_sites)
-        if which == "ghz3":
-            if args.alpha is None or args.delta is None:
-                raise UsageError("--alpha and --delta required for the ghz3 model")
-            alpha, delta = _angle(args, "alpha", unit), _angle(args, "delta", unit)
-            value, report = lrmodel.ghz3_model(*dirs, alpha, delta, mode=args.mode,
-                                               table=args.table, tol=tol["algebraic"])
-        else:
-            value, report = lrmodel.ghz4_model(*dirs, mode=args.mode, table=args.table,
-                                               tol=tol["algebraic"])
-        report.meta["value"] = value
-        return _emit(args, report, tol)
-
-    raise UsageError(f"unknown model {which!r}")
+    if args.which == "hardy":
+        report = compare.model_hardy_report(_theta(args), args.starts, args.seed,
+                                            not args.unswapped_b_minus, tol)
+    else:
+        experiment, _ = _setting(args, args.which)
+        report = compare.model_report(experiment, args.mode, args.table, tol)
+    return _emit(args, report, tol)
 
 
 def cmd_solve_hardy(args) -> int:
@@ -530,31 +476,8 @@ def cmd_scan_chsh(args) -> int:
     return 0
 
 
-def _experiment_from_args(args):
-    exp = args.experiment
-    values = _load_angles(args)
-    unit = _require_unit_flag(args)
-    if exp == "singlet":
-        dirs = _directions_from_pairs(values, unit, 2)
-        return mcsim.SingletExperiment(*dirs)
-    if exp == "chsh":
-        if len(values) != 4:
-            raise UsageError("chsh takes 4 coplanar angles: a,a',b,b'")
-        t = to_radians(values, unit)
-        return mcsim.ChshExperiment(*(coplanar_direction(ti) for ti in t))
-    if exp == "ghz4":
-        return mcsim.Ghz4Experiment(*_directions_from_pairs(values, unit, 4))
-    if exp == "ghz3":
-        if args.alpha is None or args.delta is None:
-            raise UsageError("--alpha and --delta required for the ghz3 experiment")
-        dirs = _directions_from_pairs(values, unit, 3)
-        alpha, delta = _angle(args, "alpha", unit), _angle(args, "delta", unit)
-        return mcsim.Ghz3Experiment(*dirs, alpha, delta)
-    raise UsageError(f"unknown experiment {exp!r}")
-
-
 def cmd_mc(args) -> int:
-    experiment = _experiment_from_args(args)
+    experiment, _ = _setting(args, args.experiment)
     config = mcsim.EnsembleConfig(
         experiment=experiment,
         trials=args.trials,

@@ -1,8 +1,9 @@
-"""Model-vs-oracle comparison reports, the builders behind `spherelab compare`.
+"""Model-vs-oracle comparison reports: the seeded builders behind `spherelab
+compare`, and the one-setting reports behind `spherelab qm` and `model`.
 
-Each builder draws its seeded samples, evaluates the sphere model and the
-brute-force oracle on them, and returns a ComparisonReport whose rows carry
-the tolerance class that applies to them. A row with an infinite tolerance
+Each builder evaluates the sphere model or a closed form and the brute-force
+oracle, and returns a ComparisonReport whose rows carry the tolerance class
+that applies to them. A row with an infinite tolerance
 is a measurement (an oriented magnitude, a table-vs-pinned gap, the residual
 of an unsolved Hardy system), never an assertion.
 """
@@ -144,3 +145,81 @@ def build_comparison(state: str, samples: int, seed: int, table=None,
     if state not in BUILDERS:
         raise ValueError(f"unknown state {state!r}; states: all, {', '.join(BUILDERS)}")
     return BUILDERS[state](samples, seed, table, tolerances)
+
+
+def qm_report(experiment, angles, tolerances=None) -> ComparisonReport:
+    """The brute-force oracle value of a singlet, ghz3 or ghz4 setting against
+    its closed form; angles are the setting's (theta, phi) per site in radians,
+    which the GHZ closed forms take."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    kind, dirs = experiment.kind, experiment.directions
+    report = ComparisonReport(meta={"command": "qm", "state": kind})
+    theta, phi = angles[0::2], angles[1::2]
+    if kind == "singlet":
+        state, closed = qmref.singlet_state(), -float(np.dot(dirs[0], dirs[1]))
+    elif kind == "ghz4":
+        state, closed = qmref.ghz4_state(), qmref.ghz4_expectation_closed_form(theta, phi)
+    elif kind == "ghz3":
+        alpha, delta = experiment.numbers
+        state = qmref.ghz3_state(alpha, delta)
+        closed = qmref.ghz3_expectation_closed_form(theta, phi, alpha, delta)
+        report.meta.update(alpha=alpha, delta=delta)
+    else:
+        raise ValueError(f"no oracle report for a {kind} setting")
+    oracle = qmref.tensor_expectation(state, qmref.SpinObservable(dirs))
+    return report.add([f"{kind}.expectation"], closed, oracle, tol["algebraic"])
+
+
+def qm_hardy_report(theta: float, tolerances=None) -> ComparisonReport:
+    """The sixteen brute-force Hardy amplitudes at theta against their closed forms."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    return ComparisonReport(meta={"command": "qm", "state": "hardy", "theta": theta}).add(
+        [f"hardy_amplitude[{s1},{s2}]" for s1, s2 in qmref.HARDY_PAIRS],
+        qmref.hardy_closed_forms([theta])[0], qmref.hardy_amplitudes([theta])[0],
+        tol["algebraic"])
+
+
+def model_report(experiment, mode: str = "pinned_z", table=None,
+                 tolerances=None) -> ComparisonReport:
+    """The model value of one setting against the oracle, with its oriented
+    magnitude (singlet), displayed bound (chsh) or GHZ cross-check rows; a GHZ
+    report's meta carries the value of the given mode."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    kind, dirs = experiment.kind, experiment.directions
+    meta = {"command": "model", "which": kind}
+    if kind == "singlet":
+        point = experiment.product_point()
+        return ComparisonReport(meta=meta).add(
+            ["singlet.model", "singlet.oriented_magnitude"], [point.f, point.g],
+            [qmref.pair_expectation(qmref.singlet_state(), *dirs), 0.0],
+            [tol["algebraic"], math.inf])
+    if kind == "chsh":
+        return ComparisonReport(meta=meta).add(
+            ["chsh.model", "chsh.bound"],
+            [lrmodel.chsh_model(*dirs), lrmodel.chsh_model_bound(*dirs)],
+            [qmref.chsh_qm(qmref.singlet_state(), *dirs), 0.0], [tol["algebraic"], math.inf])
+    ghz_model = lrmodel.ghz3_model if kind == "ghz3" else lrmodel.ghz4_model
+    value, report = ghz_model(*dirs, *experiment.numbers, mode=mode, table=table,
+                              tol=tol["algebraic"])
+    report.meta["value"] = value
+    return report
+
+
+def model_hardy_report(theta: float, starts: int = 32, seed: int = 20240901,
+                       swapped_b_minus: bool = True, tolerances=None) -> ComparisonReport:
+    """The joint predictions of the angles solved at one theta against the
+    amplitudes. When the angle system does not certify, meta lists the failing
+    residuals and every joint row is relabelled `.info` and never gates."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    angles = lrmodel.solve_hardy(theta, starts=starts, seed=seed)
+    report = lrmodel.hardy_report(angles, tol_joint=tol["solver_prediction"],
+                                  swapped_b_minus=swapped_b_minus)
+    if not angles.solved(tol["solver_residual"]):
+        res = lrmodel.hardy_residuals(angles)
+        report.meta["failing"] = [{"label": l, "residual": float(r)}
+                                  for l, r in zip(lrmodel.RESIDUAL_LABELS, res)
+                                  if abs(r) > tol["solver_residual"]]
+        info = [not label.startswith("hardy_oriented") for label in report.labels]
+        report.labels = [label + ".info" if i else label for label, i in zip(report.labels, info)]
+        report.tolerance = np.where(info, math.inf, report.tolerance)
+    return report

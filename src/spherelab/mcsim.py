@@ -39,11 +39,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lrmodel
 from .geometry import require_unit
+from .sphere7 import get_table
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -141,94 +144,74 @@ class LambdaStream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingletExperiment:
-    a: np.ndarray
-    b: np.ndarray
-    kind: str = field(default="singlet", init=False)
+class ExperimentKind(NamedTuple):
+    """What one kind of experiment takes: the names of its unit directions (one
+    per site), the names of its real state parameters, and its product point
+    point(*directions, *numbers, table)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", require_unit(self.a))
-        object.__setattr__(self, "b", require_unit(self.b))
-
-    def product_point(self, table=None) -> lrmodel.DecompositionResult:
-        return lrmodel.singlet_product_point(self.a, self.b)
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "a": list(self.a), "b": list(self.b)}
+    directions: tuple
+    numbers: tuple
+    point: Callable[..., lrmodel.DecompositionResult]
 
 
-@dataclass(frozen=True)
-class ChshExperiment:
-    a: np.ndarray
-    ap: np.ndarray
-    b: np.ndarray
-    bp: np.ndarray
-    kind: str = field(default="chsh", init=False)
+EXPERIMENTS = {
+    "singlet": ExperimentKind(("a", "b"), (),
+                              lambda a, b, table: lrmodel.singlet_product_point(a, b)),
+    "chsh": ExperimentKind(("a", "ap", "b", "bp"), (),
+                           lambda a, ap, b, bp, table: lrmodel.chsh_product_point(a, ap, b, bp)),
+    "ghz3": ExperimentKind(("n1", "n2", "n3"), ("alpha", "delta"), lrmodel.ghz3_product_point),
+    "ghz4": ExperimentKind(("n1", "n2", "n3", "n4"), (), lrmodel.ghz4_product_point),
+}
 
-    def __post_init__(self):
-        for name in ("a", "ap", "b", "bp"):
-            object.__setattr__(self, name, require_unit(getattr(self, name)))
 
-    def product_point(self, table=None) -> lrmodel.DecompositionResult:
-        return lrmodel.chsh_product_point(self.a, self.ap, self.b, self.bp)
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, **{k: list(getattr(self, k)) for k in ("a", "ap", "b", "bp")}}
+def _kind(kind) -> ExperimentKind:
+    if kind not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    return EXPERIMENTS[kind]
 
 
 @dataclass(frozen=True)
-class Ghz4Experiment:
-    n1: np.ndarray
-    n2: np.ndarray
-    n3: np.ndarray
-    n4: np.ndarray
-    kind: str = field(default="ghz4", init=False)
+class Experiment:
+    """One setting of an EXPERIMENTS kind: its unit directions and its numbers,
+    in the order of the kind's field names."""
+
+    kind: str
+    directions: tuple
+    numbers: tuple = ()
 
     def __post_init__(self):
-        for name in ("n1", "n2", "n3", "n4"):
-            object.__setattr__(self, name, require_unit(getattr(self, name)))
+        spec = _kind(self.kind)
+        if len(self.directions) != len(spec.directions) or len(self.numbers) != len(spec.numbers):
+            raise ValueError(f"a {self.kind} experiment takes the directions "
+                             f"{', '.join(spec.directions)} and {len(spec.numbers)} numbers")
+        for name, value in zip(spec.numbers, self.numbers):
+            if not (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        object.__setattr__(self, "directions", tuple(
+            require_unit(d, name=name) for name, d in zip(spec.directions, self.directions)))
+        object.__setattr__(self, "numbers", tuple(float(v) for v in self.numbers))
 
     def product_point(self, table=None) -> lrmodel.DecompositionResult:
-        return lrmodel.ghz4_product_point(self.n1, self.n2, self.n3, self.n4, table)
+        return EXPERIMENTS[self.kind].point(*self.directions, *self.numbers, table)
 
     def to_json_obj(self) -> dict:
-        return {"kind": self.kind, **{k: list(getattr(self, k)) for k in ("n1", "n2", "n3", "n4")}}
+        spec = EXPERIMENTS[self.kind]
+        return {"kind": self.kind, **{k: list(d) for k, d in zip(spec.directions, self.directions)},
+                **dict(zip(spec.numbers, self.numbers))}
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "Experiment":
+        kind = obj.get("kind")
+        spec = _kind(kind)
+        for name in spec.directions + spec.numbers:
+            if name not in obj:
+                raise ValueError(f"a {kind} experiment needs the field {name!r}")
+        return cls(kind, tuple(obj[k] for k in spec.directions), tuple(obj[k] for k in spec.numbers))
 
 
-@dataclass(frozen=True)
-class Ghz3Experiment:
-    n1: np.ndarray
-    n2: np.ndarray
-    n3: np.ndarray
-    alpha: float
-    delta: float
-    kind: str = field(default="ghz3", init=False)
-
-    def __post_init__(self):
-        for name in ("n1", "n2", "n3"):
-            object.__setattr__(self, name, require_unit(getattr(self, name)))
-
-    def product_point(self, table=None) -> lrmodel.DecompositionResult:
-        return lrmodel.ghz3_product_point(self.n1, self.n2, self.n3, self.alpha, self.delta, table)
-
-    def to_json_obj(self) -> dict:
-        obj = {"kind": self.kind, **{k: list(getattr(self, k)) for k in ("n1", "n2", "n3")}}
-        obj.update(alpha=self.alpha, delta=self.delta)
-        return obj
-
-
-def experiment_from_json_obj(obj: dict):
-    kind = obj["kind"]
-    if kind == "singlet":
-        return SingletExperiment(obj["a"], obj["b"])
-    if kind == "chsh":
-        return ChshExperiment(obj["a"], obj["ap"], obj["b"], obj["bp"])
-    if kind == "ghz4":
-        return Ghz4Experiment(obj["n1"], obj["n2"], obj["n3"], obj["n4"])
-    if kind == "ghz3":
-        return Ghz3Experiment(obj["n1"], obj["n2"], obj["n3"], obj["alpha"], obj["delta"])
-    raise ValueError(f"unknown experiment kind {kind!r}")
+def SingletExperiment(a, b) -> Experiment:
+    """Experiment("singlet", (a, b))."""
+    return Experiment("singlet", (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +221,7 @@ def experiment_from_json_obj(obj: dict):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    experiment: object
+    experiment: Experiment
     trials: int
     seed: int
     distribution: PlusMinusDistribution = field(default_factory=PlusMinusDistribution)
@@ -250,6 +233,8 @@ class EnsembleConfig:
         # Trial indices are uint64 counters: past 2**64 the draws would repeat.
         if self.trials > 2**64:
             raise ValueError(f"trials must be <= 2**64, got {self.trials}")
+        if self.table is not None:
+            get_table(self.table)  # a ValueError for a table that does not exist
 
     def to_json_obj(self) -> dict:
         return {

@@ -308,6 +308,30 @@ def test_mc_ghz3_requires_alpha_delta():
                    "--unit", "deg", "--trials", "10") == 2
 
 
+MC_SETTINGS = {
+    "singlet": ("--angles", "0,0,120,0"),
+    "chsh": ("--angles", "0,90,45,135"),
+    "ghz3": ("--angles", "30,10,70,20,110,30", "--alpha", "20", "--delta", "40"),
+    "ghz4": ("--angles", "30,10,70,20,110,30,150,40"),
+}
+
+
+@pytest.mark.parametrize("kind", MC_SETTINGS)
+def test_mc_unknown_table_exits_two_for_every_kind(kind, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run_cli("mc", "--experiment", kind, *MC_SETTINGS[kind], "--unit", "deg",
+                   "--trials", "10", "--table", "bogus", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown cross table 'bogus'") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_hardy_unparsable_grid_names_the_flag(capsys):
+    assert run_cli("solve-hardy", "--theta-grid", "0:90:x", "--unit", "deg") == 2
+    err = capsys.readouterr().err
+    assert err == "error: grid must be start:stop:count, got '0:90:x'\n"
+
+
 def test_identities_command(tmp_path):
     out = tmp_path / "identities.json"
     code = run_cli("identities", "--samples", "500", "--seed", "1", "--table", "cyclic-124",

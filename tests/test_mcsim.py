@@ -85,7 +85,7 @@ def test_oriented_clt_rate_across_seeds():
 
 
 def test_worker_invariance_bit_exact():
-    exp = mcsim.Ghz4Experiment(*random_unit_vectors(RNG, 4))
+    exp = mcsim.Experiment("ghz4", tuple(random_unit_vectors(RNG, 4)))
     config = mcsim.EnsembleConfig(exp, trials=1_000_000, seed=31)
     serial = mcsim.run_ensemble(config, workers=1)
     parallel = mcsim.run_ensemble(config, workers=4)
@@ -95,7 +95,8 @@ def test_worker_invariance_bit_exact():
 def test_ghz4_ensemble_matches_table_mode_scalar():
     dirs = random_unit_vectors(RNG, 4)
     value, _ = lrmodel.ghz4_model(*dirs, mode="table")
-    config = mcsim.EnsembleConfig(mcsim.Ghz4Experiment(*dirs), trials=1_000_000, seed=13)
+    config = mcsim.EnsembleConfig(mcsim.Experiment("ghz4", tuple(dirs)), trials=1_000_000,
+                                  seed=13)
     report = mcsim.run_ensemble(config)
     assert report.scalar_mean == pytest.approx(value, abs=1e-12)
     assert all(abs(m) <= 5.0 * s for m, s in zip(report.oriented_mean, report.oriented_sigma))
@@ -105,14 +106,14 @@ def test_ghz4_ensemble_matches_table_mode_scalar():
 def test_ghz3_and_chsh_ensembles():
     dirs = random_unit_vectors(RNG, 3)
     config = mcsim.EnsembleConfig(
-        mcsim.Ghz3Experiment(*dirs, alpha=0.6, delta=1.1), trials=10_000, seed=3
+        mcsim.Experiment("ghz3", tuple(dirs), (0.6, 1.1)), trials=10_000, seed=3
     )
     report = mcsim.run_ensemble(config)
     value, _ = lrmodel.ghz3_model(*dirs, 0.6, 1.1, mode="table")
     assert report.scalar_mean == pytest.approx(value, abs=1e-12)
 
     quad = [coplanar_direction(t) for t in (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)]
-    config = mcsim.EnsembleConfig(mcsim.ChshExperiment(*quad), trials=10_000, seed=3)
+    config = mcsim.EnsembleConfig(mcsim.Experiment("chsh", tuple(quad)), trials=10_000, seed=3)
     report = mcsim.run_ensemble(config)
     assert report.scalar_mean == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
     assert len(report.oriented_mean) == 3
@@ -142,23 +143,34 @@ def test_config_validation_and_echo():
     assert report.config["seed"] == 77
     assert report.config["experiment"]["kind"] == "singlet"
     assert report.config["distribution"] == {"kind": "uniform_pm", "weight_plus": 0.5}
-    back = mcsim.experiment_from_json_obj(report.config["experiment"])
-    assert isinstance(back, mcsim.SingletExperiment)
-    assert np.array_equal(back.a, Z)
+    back = mcsim.Experiment.from_json_obj(report.config["experiment"])
+    assert back.kind == "singlet"
+    assert np.array_equal(back.directions[0], Z)
 
 
 def test_experiment_json_round_trip():
     experiments = [
         mcsim.SingletExperiment(Z, X),
-        mcsim.ChshExperiment(Z, X, Z, X),
-        mcsim.Ghz3Experiment(Z, X, Z, alpha=0.3, delta=0.4),
-        mcsim.Ghz4Experiment(Z, X, Z, X),
+        mcsim.Experiment("chsh", (Z, X, Z, X)),
+        mcsim.Experiment("ghz3", (Z, X, Z), (0.3, 0.4)),
+        mcsim.Experiment("ghz4", (Z, X, Z, X)),
     ]
     for exp in experiments:
-        back = mcsim.experiment_from_json_obj(exp.to_json_obj())
+        back = mcsim.Experiment.from_json_obj(exp.to_json_obj())
         assert back.to_json_obj() == exp.to_json_obj()
     with pytest.raises(ValueError):
-        mcsim.experiment_from_json_obj({"kind": "bogus"})
+        mcsim.Experiment.from_json_obj({"kind": "bogus"})
+    # A missing field, or a number that is not one, is a ValueError naming
+    # the field, raised before any ensemble runs.
+    ghz3 = mcsim.Experiment("ghz3", (Z, X, Z), (0.3, 0.4)).to_json_obj()
+    for bad, field in (({"kind": "singlet", "a": [0, 0, 1]}, "'b'"),
+                       ({k: v for k, v in ghz3.items() if k != "delta"}, "'delta'"),
+                       (dict(ghz3, alpha="x"), "alpha"),
+                       (dict(ghz3, alpha=True), "alpha"),
+                       (dict(ghz3, delta=float("nan")), "delta"),
+                       ({"kind": "singlet", "a": [0, 0], "b": [1, 0, 0]}, "a must")):
+        with pytest.raises(ValueError, match=field):
+            mcsim.Experiment.from_json_obj(bad)
 
 
 # ---------------------------------------------------------------------------
