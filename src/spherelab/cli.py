@@ -52,7 +52,7 @@ from . import compare, identities, lrmodel, mcsim
 from .compare import DEFAULT_TOLERANCES
 from .geometry import coplanar_direction, spherical_direction, to_radians
 from .report import CHUNK_ROWS, ComparisonReport
-from .sphere7 import BUILTIN_TABLES
+from .sphere7 import BUILTIN_TABLES, get_table
 
 OUTDIR_ENV = "SPHERELAB_OUTDIR"
 
@@ -83,7 +83,8 @@ def _umask() -> int:
 
 def _atomic_write(path: Path, text):
     """Write text, a str or an iterator of str chunks written as they come,
-    to a temporary file that then replaces path."""
+    to a temporary file that then replaces path. When the write fails, an
+    iterator that can be closed is closed, so it releases what it holds at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -93,6 +94,8 @@ def _atomic_write(path: Path, text):
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
+        if hasattr(text, "close"):
+            text.close()
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
@@ -308,7 +311,10 @@ def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
 
 
 def _theta(args) -> float:
-    """--theta of the hardy setting, in radians."""
+    """--theta of the hardy setting, in radians; without the flag, the theta
+    key of --angles-file."""
+    if args.theta is None and getattr(args, "angles_file", None):
+        _load_angles(args)  # sets args.theta from the file's theta key
     if args.theta is None:
         raise UsageError(f"--theta required for the hardy {SETTING_NOUNS[args.command]}")
     return _angle(args, "theta", _require_unit_flag(args))
@@ -399,6 +405,8 @@ def cmd_qm(args) -> int:
 
 def cmd_model(args) -> int:
     tol = _tolerances(args)
+    if args.table is not None:
+        get_table(args.table)  # a ValueError for a table that does not exist
     if args.which == "hardy":
         report = compare.model_hardy_report(_theta(args), args.starts, args.seed,
                                             not args.unswapped_b_minus, tol)
@@ -446,19 +454,96 @@ def cmd_solve_hardy(args) -> int:
     return 0
 
 
+SPILL_READ_BYTES = 1 << 16  # larger reads of a spill file raise the peak RSS
+
+
+def _csv_rows(part: np.ndarray) -> str:
+    """The CSV lines of a 2-D float table, each value written as repr(float(x)).
+
+    The list repr is "[[x, y], [z, w]]" with every float in repr form; a
+    float's repr never holds "[" or ", ", so replacing the separators gives
+    exactly the per-value rows.
+    """
+    text = repr(part.tolist())
+    return text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
+
+
+def _fork_rows(parts: list) -> tuple[int, object] | None:
+    """(pid, spill) of a child process that writes the CSV lines of parts into
+    spill, an unlinked temporary file, and exits 0; None when no child could
+    be started. The child leaves through os._exit, so it runs no atexit
+    handler and flushes none of the buffers it shares with the parent."""
+    spill = None
+    try:
+        spill = tempfile.TemporaryFile()
+        pid = os.fork()
+    except OSError:
+        if spill is not None:
+            spill.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for part in parts:
+                spill.write(_csv_rows(part).encode("ascii"))
+            spill.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, spill
+
+
 def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
     """CSV text of a 2-D float table, each value written as repr(float(x)),
     as one chunk of lines per CHUNK_ROWS rows, so that a writer never
     holds the whole text.
 
-    A chunk's list repr is "[[x, y], [z, w]]" with every float in repr form;
-    a float's repr never holds "[" or ", ", so replacing the separators gives
-    exactly the per-value rows.
+    The chunks are cut into contiguous slices, one per CPU this process may
+    run on. The parent formats the first slice and yields it as it goes; a
+    forked child formats each other slice into its own spill file, which the
+    parent copies out, in SPILL_READ_BYTES reads, once the child exited 0.
+    Every chunk is formatted by the same _csv_rows and the slices are joined
+    in order, so the text is the same for any number of slices. With one
+    chunk or one CPU, without os.fork, or once a fork fails, the parent
+    formats the remaining slices itself. A child that fails raises a
+    RuntimeError, so a truncated text never reads as complete; on any early
+    exit of this generator (an exception, or close() by the writer) every
+    child still running is killed and reaped.
     """
-    yield header + "\n"
-    for lo in range(0, len(table), CHUNK_ROWS):
-        text = repr(table[lo:lo + CHUNK_ROWS].tolist())
-        yield text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
+    parts = [table[lo:lo + CHUNK_ROWS] for lo in range(0, len(table), CHUNK_ROWS)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_slices = min(cpus, len(parts)) if hasattr(os, "fork") else 1
+    edges = [len(parts) * k // n_slices for k in range(n_slices + 1)]
+    slices = [parts[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    children, spills = {}, {}  # by slice index
+    try:
+        for k in range(1, n_slices):
+            child = _fork_rows(slices[k])
+            if child is None:
+                break
+            children[k], spills[k] = child
+        yield header + "\n"
+        for k, own in enumerate(slices):
+            if k not in children:
+                for part in own:
+                    yield _csv_rows(part)
+                continue
+            code = os.waitstatus_to_exitcode(os.waitpid(children[k], 0)[1])
+            pid = children.pop(k)
+            if code != 0:
+                raise RuntimeError(f"CSV formatter process {pid} exited with status {code}")
+            spills[k].seek(0)
+            while chunk := spills[k].read(SPILL_READ_BYTES):
+                yield chunk.decode("ascii")
+    finally:
+        if children:
+            import signal
+
+            for pid in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for spill in spills.values():
+            spill.close()
 
 
 def cmd_scan_chsh(args) -> int:

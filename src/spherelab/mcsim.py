@@ -170,10 +170,11 @@ def _kind(kind) -> ExperimentKind:
     return EXPERIMENTS[kind]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Experiment:
     """One setting of an EXPERIMENTS kind: its unit directions and its numbers,
-    in the order of the kind's field names."""
+    in the order of the kind's field names. Two experiments are equal, and
+    hash alike, when kind, direction components and numbers are equal."""
 
     kind: str
     directions: tuple
@@ -190,6 +191,15 @@ class Experiment:
         object.__setattr__(self, "directions", tuple(
             require_unit(d, name=name) for name, d in zip(spec.directions, self.directions)))
         object.__setattr__(self, "numbers", tuple(float(v) for v in self.numbers))
+
+    def _key(self) -> tuple:
+        return self.kind, tuple(tuple(d.tolist()) for d in self.directions), self.numbers
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Experiment) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def product_point(self, table=None) -> lrmodel.DecompositionResult:
         return EXPERIMENTS[self.kind].point(*self.directions, *self.numbers, table)

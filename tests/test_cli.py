@@ -3,6 +3,7 @@ atomic writes, unit handling, config merging."""
 
 import argparse
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 
 from spherelab import cli, compare, lrmodel, mcsim
 from spherelab.lrmodel import ComparisonReport
+from spherelab.report import CHUNK_ROWS
 
 
 def run_cli(*argv):
@@ -222,6 +224,115 @@ def test_scan_chsh_csv_equals_the_per_row_formatter(count, tmp_path):
     assert out.read_text() == _per_row_sweep_csv(count, 3)
 
 
+def _cpus(monkeypatch, count):
+    """Make the CSV formatter see `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _record_forks(monkeypatch) -> list:
+    """The pids of the children os.fork starts from now on, in the parent."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count", (4, 4095, 4097, 8193, 12289, 100_000))
+def test_scan_chsh_csv_is_the_same_serial_and_split(count, tmp_path, monkeypatch):
+    expected = _per_row_sweep_csv(count, 3)
+    pids = _record_forks(monkeypatch)
+    for cpus in (1, 3):
+        _cpus(monkeypatch, cpus)
+        pids.clear()
+        out = tmp_path / f"sweep{cpus}.csv"
+        assert run_cli("scan-chsh", "--count", str(count), "--seed", "3", "--out", str(out)) == 0
+        assert out.read_text() == expected
+        # one slice per CPU, and never more slices than CHUNK_ROWS parts
+        assert len(pids) == min(cpus, -(-count // CHUNK_ROWS)) - 1
+        _no_child_left()
+
+
+class _DiskFullAfter:
+    """A text file whose writelines fails with ENOSPC after `chunks` chunks."""
+
+    def __init__(self, fh, chunks):
+        self.fh, self.chunks = fh, chunks
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, text):
+        for i, chunk in enumerate(text):
+            if i == self.chunks:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.fh.write(chunk)
+
+
+def test_a_failing_csv_writer_kills_and_reaps_every_formatter(tmp_path, monkeypatch, capsys):
+    _cpus(monkeypatch, 3)
+    pids = _record_forks(monkeypatch)
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _DiskFullAfter(fdopen(fd, mode), 3))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("scan-chsh", "--count", "100000", "--out", str(out)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(pids) == 2
+    _no_child_left()
+    assert list(tmp_path.iterdir()) == []  # no artifact and no .tmp file
+
+
+def test_a_failing_write_closes_the_stream_at_once(tmp_path, monkeypatch):
+    closed = []
+
+    def stream():
+        try:
+            yield from ("a", "b", "c")
+        finally:
+            closed.append(True)
+
+    text = stream()  # still referenced here, so only close() can finish it
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _DiskFullAfter(fdopen(fd, mode), 1))
+    with pytest.raises(OSError):
+        cli._atomic_write(tmp_path / "r.csv", text)
+    assert closed == [True]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_formatter_process_exits_three_without_an_artifact(tmp_path, monkeypatch,
+                                                                     capsys):
+    _cpus(monkeypatch, 2)
+    parent, rows = os.getpid(), cli._csv_rows
+
+    def failing_in_a_child(part):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter fault")
+        return rows(part)
+
+    monkeypatch.setattr(cli, "_csv_rows", failing_in_a_child)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("scan-chsh", "--count", "8193", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: CSV formatter process ")
+    assert err.endswith(" exited with status 1\n") and err.count("\n") == 1
+    _no_child_left()
+    assert list(tmp_path.iterdir()) == []
+
+
 # SHA-256 of artifacts as written before the integer-threshold draws and the
 # chunked CSV formatter; both changes must leave every byte as it was.
 SINGLET_MC = ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
@@ -324,6 +435,34 @@ def test_mc_unknown_table_exits_two_for_every_kind(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown cross table 'bogus'") and err.count("\n") == 1
     assert not out.exists()
+
+
+MODEL_SETTINGS = {**MC_SETTINGS, "hardy": ("--theta", "30")}
+
+
+@pytest.mark.parametrize("kind", MODEL_SETTINGS)
+def test_model_unknown_table_exits_two_for_every_kind(kind, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run_cli("model", "--which", kind, *MODEL_SETTINGS[kind], "--unit", "deg",
+                   "--table", "bogus", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown cross table 'bogus'") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", (("qm", "--state", "hardy"), ("model", "--which", "hardy")))
+def test_hardy_theta_comes_from_the_angles_file(command, tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"angles": [], "theta": 30}))
+    written = {}
+    for name, argv in (("file", ("--angles-file", str(path))), ("flag", ("--theta", "30")),
+                       ("both", ("--angles-file", str(path), "--theta", "45")),
+                       ("flag45", ("--theta", "45"))):
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*command, *argv, "--unit", "deg", "--out", str(out)) == 0
+        written[name] = out.read_bytes()
+    assert written["file"] == written["flag"]
+    assert written["both"] == written["flag45"] != written["flag"]  # the flag wins
 
 
 def test_solve_hardy_unparsable_grid_names_the_flag(capsys):

@@ -148,6 +148,22 @@ def test_config_validation_and_echo():
     assert np.array_equal(back.directions[0], Z)
 
 
+def test_experiments_compare_and_hash_by_value():
+    one, same = mcsim.SingletExperiment(Z, X), mcsim.SingletExperiment(Z.copy(), [1, 0, 0])
+    assert one == same and not one != same
+    assert hash(one) == hash(same) and len({one, same}) == 1
+    # -0.0 == 0.0, so a signed zero component changes neither equality nor hash
+    signed = mcsim.SingletExperiment(Z, np.array([1.0, -0.0, 0.0]))
+    assert signed == one and hash(signed) == hash(one)
+    ghz3 = mcsim.Experiment("ghz3", (Z, X, Z), (0.3, 0.4))
+    for other in (mcsim.SingletExperiment(X, Z), mcsim.Experiment("chsh", (Z, X, Z, X)),
+                  ghz3, "singlet"):
+        assert one != other and not one == other
+    assert ghz3 == mcsim.Experiment("ghz3", (Z, X, Z), (0.3, 0.4))
+    assert ghz3 != mcsim.Experiment("ghz3", (Z, X, Z), (0.3, 0.5))
+    assert ghz3 != mcsim.Experiment("ghz3", (Z, X, X), (0.3, 0.4))
+
+
 def test_experiment_json_round_trip():
     experiments = [
         mcsim.SingletExperiment(Z, X),
@@ -158,6 +174,7 @@ def test_experiment_json_round_trip():
     for exp in experiments:
         back = mcsim.Experiment.from_json_obj(exp.to_json_obj())
         assert back.to_json_obj() == exp.to_json_obj()
+        assert back == exp
     with pytest.raises(ValueError):
         mcsim.Experiment.from_json_obj({"kind": "bogus"})
     # A missing field, or a number that is not one, is a ValueError naming
