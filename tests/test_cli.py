@@ -393,6 +393,16 @@ PINNED_ARTIFACTS = [
       "--table", "cyclic-124-swap12", "--unit", "deg", "--trials", "100001",
       "--weight-plus", "0.4", "--seed", "9", "--format", "csv"), "mc_ghz4.csv",
      "dcdef782487f1089d47e397d1c3b02e0a610560aa3b2200a42154bac5ab7948d"),
+    # solve-hardy, mc CSV and identities CSV artifacts, as written while the
+    # CLI still laid out the solve-hardy and mc ones itself.
+    (("solve-hardy", "--theta-grid", "0:90:7", "--unit", "deg", "--seed", "5"),
+     "solve_hardy.json", "5196d9d7e6acfb00e63d98be6f8c98ecfdc5931c60836d5c92f02adf2e09b345"),
+    (("solve-hardy", "--theta-grid", "0:90:7", "--unit", "deg", "--seed", "5", "--format", "csv"),
+     "solve_hardy.csv", "58651505b4d556b5a5a23ff53ce9d813e6e3d40570a187eca6dd8a54d8a27d12"),
+    (SINGLET_MC + ("--format", "csv"), "mc.csv",
+     "1b63eefef346875649ab3f12ebd43855d55309e76911eeceda2add3b27a01719"),
+    (("identities", "--samples", "200", "--format", "csv"), "identities.csv",
+     "8b51ab5c962d5ad12fc47d990d44f57bb712cb61a8922b4cc4361ed747a15341"),
 ]
 
 
