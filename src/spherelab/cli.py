@@ -1,36 +1,28 @@
-"""Command-line front end: it parses arguments, merges --config and
-tolerance overrides, gates, prints summaries and writes artifacts. The
-reports themselves come from the library: spherelab.compare builds the
-`compare`, `qm` and `model` reports, spherelab.mcsim runs the `mc` ensemble.
-The settings of qm, model and mc are parsed in one place (_setting), into a
+"""Command-line front end of the subcommands identities, qm, model,
+solve-hardy, scan-chsh, mc and compare. It only parses arguments, merges
+--config and tolerance overrides, gates, prints summaries and writes
+artifacts: the library builds every report and lays out its text. Each
+artifact kind gives that text through report.chunks(fmt) (ComparisonReport
+from spherelab.compare and spherelab.identities, compare.HardyScan,
+compare.chsh_sweep_table, mcsim.EnsembleReport), and _emit is the one place
+that writes it, atomically, and prints `wrote PATH`. The settings of qm,
+model and mc are parsed in one place (_setting), into a
 spherelab.mcsim.Experiment whose kind in mcsim.EXPERIMENTS names the
 directions and numbers it takes.
 
-Subcommands:
-  identities    algebra/kernel invariant sweeps (all built-in cross tables)
-  qm            brute-force oracle values vs their closed forms
-  model         model evaluations (singlet | chsh | hardy | ghz3 | ghz4)
-  solve-hardy   angle-system scan over a theta grid with residual table
-  scan-chsh     coplanar CHSH sweep, plot-ready CSV
-  mc            seeded hidden-orientation ensembles
-  compare       full model-vs-oracle comparison report
-
 Conventions:
   * every angle-bearing flag is interpreted per --unit {deg, rad}, which is
-    mandatory whenever angles are supplied (silent unit mix-ups are the
-    main operational risk), and must be finite;
+    mandatory whenever angles are supplied, and must be finite;
   * --config FILE supplies defaults from a JSON object, explicit flags win;
-  * artifacts are written atomically; --out is resolved against
-    $SPHERELAB_OUTDIR when relative;
+  * --out is resolved against $SPHERELAB_OUTDIR when relative;
   * identical flags + seed produce byte-identical artifacts (no timestamps);
   * exit 0 success, 1 a gated comparison exceeded tolerance (the report is
     still written), 2 usage/configuration errors, 3 an internal error (one
     line, no traceback).
 
 One gating rule: a row gates the exit status iff its tolerance is finite and
-it mismatches. Rows with an infinite tolerance (GHZ table-mode-vs-pinned-mode
-gaps, oriented magnitudes, unsolved Hardy residuals) are measurements. The
-one exception is --strict-table, which holds the table-vs-pinned rows to the
+it mismatches; rows with an infinite tolerance are measurements. The one
+exception is --strict-table, which holds the GHZ table-vs-pinned rows to the
 algebraic tolerance in effect.
 """
 
@@ -42,8 +34,6 @@ import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterator
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +41,7 @@ import numpy as np
 from . import compare, identities, lrmodel, mcsim
 from .compare import DEFAULT_TOLERANCES
 from .geometry import coplanar_direction, spherical_direction, to_radians
-from .report import CHUNK_ROWS, ComparisonReport
+from .report import ComparisonReport
 from .sphere7 import BUILTIN_TABLES, get_table
 
 OUTDIR_ENV = "SPHERELAB_OUTDIR"
@@ -81,59 +71,33 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write(path: Path, text):
-    """Write text, a str or an iterator of str chunks written as they come,
-    to a temporary file that then replaces path. When the write fails, an
-    iterator that can be closed is closed, so it releases what it holds at once."""
+def _atomic_write(path: Path, chunks):
+    """Write an iterable of str chunks, as they come, to a temporary file that
+    then replaces path. When the write fails, chunks that can be closed are
+    closed, so they release what they hold at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give the artifact the mode open() would.
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
-        if hasattr(text, "close"):
-            text.close()
+        if hasattr(chunks, "close"):
+            chunks.close()
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
 
-def _ensemble_csv(report: mcsim.EnsembleReport) -> str:
-    lines = ["field,value"]
-    lines.append(f"scalar_mean,{report.scalar_mean!r}")
-    for i, v in enumerate(report.oriented_mean, start=1):
-        lines.append(f"oriented_mean_{i},{v!r}")
-    for i, v in enumerate(report.oriented_sigma, start=1):
-        lines.append(f"oriented_sigma_{i},{v!r}")
-    lines.append(f"sign_channel_mean,{report.sign_channel_mean!r}")
-    lines.append(f"sign_channel_deviation,{report.sign_channel_deviation!r}")
-    lines.append(f"trials,{report.trials}")
-    lines.append(f"seed,{report.seed}")
-    return "\n".join(lines) + "\n"
-
-
-def write_report(report, path, fmt: str):
-    """Persist a comparison or ensemble report as JSON or CSV, or text given
-    as a str or an iterator of str chunks, atomically."""
+def write_report(report, path, fmt: str) -> Path:
+    """Write the artifact text report.chunks(fmt) atomically to path, resolved
+    against $SPHERELAB_OUTDIR; returns the path written."""
     if fmt not in ("json", "csv"):
         raise UsageError(f"format must be 'json' or 'csv', got {fmt!r}")
     out = _resolve_out(path)
-    if isinstance(report, ComparisonReport):
-        text = chain(report.json_chunks(), "\n") if fmt == "json" else report.csv_chunks()
-    elif isinstance(report, mcsim.EnsembleReport):
-        text = report.to_json() + "\n" if fmt == "json" else _ensemble_csv(report)
-    elif isinstance(report, dict):
-        if fmt != "json":
-            raise UsageError("this report only supports --format json")
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif isinstance(report, (str, Iterator)):
-        text = report
-    else:
-        raise UsageError(f"cannot serialize report of type {type(report).__name__}")
-    _atomic_write(out, text)
+    _atomic_write(out, report.chunks(fmt))
     return out
 
 
@@ -149,7 +113,7 @@ COMMAND_DEFAULTS = {
     "qm": {"seed": 0},
     "model": {"seed": 20240901, "mode": "pinned_z", "starts": 32},
     "solve-hardy": {"seed": 20240901, "starts": 32},
-    "scan-chsh": {"seed": 0, "count": 100_000},
+    "scan-chsh": {"seed": 0, "count": 100_000, "format": "csv"},
     "mc": {"seed": 0, "trials": 1_000_000, "weight_plus": 0.5, "workers": 1},
     "compare": {"seed": 7, "state": "all", "samples": 500},
 }
@@ -242,7 +206,9 @@ def _finite(flag: str, values: list) -> list:
     return values
 
 
-def _load_angles(args) -> list[float]:
+def _load_angles(args, directions: bool = True) -> list[float]:
+    """The numbers of --angles or --angles-file, whose alpha, delta and theta fill
+    unset flags; "angles" may be left out of it without directions (hardy)."""
     if getattr(args, "angles", None) and getattr(args, "angles_file", None):
         raise UsageError("give either --angles or --angles-file, not both")
     if getattr(args, "angles", None):
@@ -256,16 +222,17 @@ def _load_angles(args) -> list[float]:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise UsageError(f"angles file is not valid JSON: {exc}")
-        if not isinstance(data, dict) or not isinstance(data.get("angles"), list):
+        angles = data.get("angles", None if directions else []) if isinstance(data, dict) else None
+        if not isinstance(angles, list):
             raise UsageError('angles file must hold a JSON object with an "angles" list')
-        if not all(_is_number(x) for x in data["angles"]):
-            raise UsageError(f'angles file: "angles" must hold numbers, got {data["angles"]!r}')
+        if not all(_is_number(x) for x in angles):
+            raise UsageError(f'angles file: "angles" must hold numbers, got {angles!r}')
         for key in ("alpha", "delta", "theta"):
             if key in data and not _is_number(data[key]):
                 raise UsageError(f"angles file: {key!r} must be a number, got {data[key]!r}")
             if key in data and getattr(args, key, None) is None:
                 setattr(args, key, data[key])
-        return _finite("--angles-file", [float(x) for x in data["angles"]])
+        return _finite("--angles-file", [float(x) for x in angles])
     raise UsageError("directions required: pass --angles or --angles-file")
 
 
@@ -277,8 +244,6 @@ def _angle(args, name: str, unit: str) -> float:
 def _require_unit_flag(args) -> str:
     if getattr(args, "unit", None) is None:
         raise UsageError("angles supplied: --unit {deg,rad} is mandatory")
-    if args.unit not in ("deg", "rad"):
-        raise UsageError(f"--unit must be 'deg' or 'rad', got {args.unit!r}")
     return args.unit
 
 
@@ -314,7 +279,7 @@ def _theta(args) -> float:
     """--theta of the hardy setting, in radians; without the flag, the theta
     key of --angles-file."""
     if args.theta is None and getattr(args, "angles_file", None):
-        _load_angles(args)  # sets args.theta from the file's theta key
+        _load_angles(args, directions=False)  # sets args.theta from the file's theta key
     if args.theta is None:
         raise UsageError(f"--theta required for the hardy {SETTING_NOUNS[args.command]}")
     return _angle(args, "theta", _require_unit_flag(args))
@@ -350,12 +315,11 @@ def _tolerances(args) -> dict:
 
 
 def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
-    """Write the artifact if --out is given and print the summary; for a
-    comparison, exit 1 iff a gated row mismatches (a NaN residual included)."""
-    fmt = getattr(args, "format", None) or "json"
-    if getattr(args, "out", None):
-        path = write_report(report, args.out, fmt)
-        print(f"wrote {path}")
+    """Write the artifact in --format (json by default) if --out is given;
+    for a comparison, print the summary and exit 1 iff a gated row
+    mismatches (a NaN residual included)."""
+    if args.out:
+        print(f"wrote {write_report(report, args.out, args.format or 'json')}")
     if isinstance(report, ComparisonReport):
         # A row gates iff its tolerance is finite; --strict-table holds the
         # table-vs-pinned rows to the algebraic tolerance in effect.
@@ -378,9 +342,6 @@ def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
                   f"oracle={float(report.oracle[i])!r} residual={residual[i]:.3e} "
                   f"tol={tol[i]:g}")
         return 1 if len(bad) else 0
-    if isinstance(report, mcsim.EnsembleReport):
-        print(f"scalar_mean={report.scalar_mean!r} sign_channel_mean={report.sign_channel_mean!r} "
-              f"trials={report.trials} seed={report.seed}")
     return 0
 
 
@@ -421,140 +382,23 @@ def cmd_solve_hardy(args) -> int:
         raise UsageError("--theta-grid start:stop:count is required")
     unit = _require_unit_flag(args)
     thetas = to_radians(_parse_grid(args.theta_grid), unit)
-    tol = _tolerances(args)
-    rows = lrmodel.scan_hardy(thetas, starts=args.starts, seed=args.seed,
-                              tol=tol["solver_residual"])
-    doc = {
-        "command": "solve-hardy",
-        "theta_grid": args.theta_grid,
-        "unit": unit,
-        "seed": args.seed,
-        "starts": args.starts,
-        "tolerance": tol["solver_residual"],
-        "rows": [r.to_dict() for r in rows],
-    }
-    if getattr(args, "out", None):
-        fmt = getattr(args, "format", None) or "json"
-        if fmt == "csv":
-            lines = ["theta,residual_norm,solved,failing," + ",".join(lrmodel.ANGLE_NAMES)]
-            for r in rows:
-                failing = ";".join(l for l, _ in r.failing)
-                angle_cols = ",".join(repr(getattr(r.angles, n)) for n in lrmodel.ANGLE_NAMES)
-                lines.append(f"{r.theta!r},{r.angles.residual_norm!r},{r.solved},{failing},{angle_cols}")
-            path = write_report("\n".join(lines) + "\n", args.out, "csv")
-        else:
-            path = write_report(doc, args.out, "json")
-        print(f"wrote {path}")
-    solved = sum(1 for r in rows if r.solved)
-    print(f"solved {solved}/{len(rows)} grid points below {tol['solver_residual']:g}")
-    for r in rows:
+    scan = compare.hardy_scan(thetas, args.theta_grid, unit, args.seed, args.starts,
+                              _tolerances(args))
+    _emit(args, scan)
+    solved = sum(1 for r in scan.rows if r.solved)
+    print(f"solved {solved}/{len(scan.rows)} grid points below {scan.meta['tolerance']:g}")
+    for r in scan.rows:
         status = "ok" if r.solved else "FLAGGED"
         worst = f" worst={r.failing[0][0]}({r.failing[0][1]:+.3e})" if r.failing else ""
         print(f"  theta={r.theta:.6f} residual={r.angles.residual_norm:.3e} {status}{worst}")
     return 0
 
 
-SPILL_READ_BYTES = 1 << 16  # larger reads of a spill file raise the peak RSS
-
-
-def _csv_rows(part: np.ndarray) -> str:
-    """The CSV lines of a 2-D float table, each value written as repr(float(x)).
-
-    The list repr is "[[x, y], [z, w]]" with every float in repr form; a
-    float's repr never holds "[" or ", ", so replacing the separators gives
-    exactly the per-value rows.
-    """
-    text = repr(part.tolist())
-    return text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
-
-
-def _fork_rows(parts: list) -> tuple[int, object] | None:
-    """(pid, spill) of a child process that writes the CSV lines of parts into
-    spill, an unlinked temporary file, and exits 0; None when no child could
-    be started. The child leaves through os._exit, so it runs no atexit
-    handler and flushes none of the buffers it shares with the parent."""
-    spill = None
-    try:
-        spill = tempfile.TemporaryFile()
-        pid = os.fork()
-    except OSError:
-        if spill is not None:
-            spill.close()
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            for part in parts:
-                spill.write(_csv_rows(part).encode("ascii"))
-            spill.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, spill
-
-
-def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
-    """CSV text of a 2-D float table, each value written as repr(float(x)),
-    as one chunk of lines per CHUNK_ROWS rows, so that a writer never
-    holds the whole text.
-
-    The chunks are cut into contiguous slices, one per CPU this process may
-    run on. The parent formats the first slice and yields it as it goes; a
-    forked child formats each other slice into its own spill file, which the
-    parent copies out, in SPILL_READ_BYTES reads, once the child exited 0.
-    Every chunk is formatted by the same _csv_rows and the slices are joined
-    in order, so the text is the same for any number of slices. With one
-    chunk or one CPU, without os.fork, or once a fork fails, the parent
-    formats the remaining slices itself. A child that fails raises a
-    RuntimeError, so a truncated text never reads as complete; on any early
-    exit of this generator (an exception, or close() by the writer) every
-    child still running is killed and reaped.
-    """
-    parts = [table[lo:lo + CHUNK_ROWS] for lo in range(0, len(table), CHUNK_ROWS)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_slices = min(cpus, len(parts)) if hasattr(os, "fork") else 1
-    edges = [len(parts) * k // n_slices for k in range(n_slices + 1)]
-    slices = [parts[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    children, spills = {}, {}  # by slice index
-    try:
-        for k in range(1, n_slices):
-            child = _fork_rows(slices[k])
-            if child is None:
-                break
-            children[k], spills[k] = child
-        yield header + "\n"
-        for k, own in enumerate(slices):
-            if k not in children:
-                for part in own:
-                    yield _csv_rows(part)
-                continue
-            code = os.waitstatus_to_exitcode(os.waitpid(children[k], 0)[1])
-            pid = children.pop(k)
-            if code != 0:
-                raise RuntimeError(f"CSV formatter process {pid} exited with status {code}")
-            spills[k].seek(0)
-            while chunk := spills[k].read(SPILL_READ_BYTES):
-                yield chunk.decode("ascii")
-    finally:
-        if children:
-            import signal
-
-            for pid in children.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for spill in spills.values():
-            spill.close()
-
-
 def cmd_scan_chsh(args) -> int:
     if args.format == "json":
         raise UsageError("scan-chsh writes CSV only, got --format json")
     sweep = lrmodel.scan_chsh(args.count, args.seed)
-    if getattr(args, "out", None):
-        table = np.column_stack([sweep["angles"], sweep["values"], sweep["bounds"]])
-        text = _float_csv("t_a,t_a_prime,t_b,t_b_prime,value,bound", table)
-        path = write_report(text, args.out, "csv")
-        print(f"wrote {path}")
+    _emit(args, compare.chsh_sweep_table(sweep))
     print(f"max |value| = {sweep['max_abs_value']!r} at {[float(t) for t in sweep['argmax']]}")
     print(f"bound violations: fraction={sweep['bound_violation_fraction']:.4f} "
           f"max={sweep['max_bound_violation']:.6f}")
@@ -571,11 +415,16 @@ def cmd_mc(args) -> int:
         table=args.table,
     )
     report = mcsim.run_ensemble(config, workers=args.workers)
-    return _emit(args, report)
+    _emit(args, report)
+    print(f"scalar_mean={report.scalar_mean!r} sign_channel_mean={report.sign_channel_mean!r} "
+          f"trials={report.trials} seed={report.seed}")
+    return 0
 
 
 def cmd_compare(args) -> int:
     tol = _tolerances(args)
+    if args.table is not None:
+        get_table(args.table)  # a ValueError for a table that does not exist, before any build
     report = compare.build_comparison(args.state, args.samples, args.seed, args.table, tol)
     return _emit(args, report, tol)
 

@@ -1,5 +1,7 @@
 """Model-vs-oracle comparison reports: the seeded builders behind `spherelab
 compare`, and the one-setting reports behind `spherelab qm` and `model`.
+Also the scan artifacts of `spherelab solve-hardy` (HardyScan) and
+`spherelab scan-chsh` (chsh_sweep_table).
 
 Each builder evaluates the sphere model or a closed form and the brute-force
 oracle, and returns a ComparisonReport whose rows carry the tolerance class
@@ -11,12 +13,13 @@ of an unsolved Hardy system), never an assertion.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lrmodel, qmref
 from .geometry import coplanar_direction, random_unit_vectors
-from .report import ComparisonReport
+from .report import ComparisonReport, FloatTable, json_text
 from .sphere7 import embed_ghz3, embed_ghz4, get_table
 
 DEFAULT_TOLERANCES = {
@@ -223,3 +226,41 @@ def model_hardy_report(theta: float, starts: int = 32, seed: int = 20240901,
         report.labels = [label + ".info" if i else label for label, i in zip(report.labels, info)]
         report.tolerance = np.where(info, math.inf, report.tolerance)
     return report
+
+
+class HardyScan(NamedTuple):
+    """The solve-hardy artifact: the rows of lrmodel.scan_hardy over a theta
+    grid, under the settings that made them (meta)."""
+
+    rows: list
+    meta: dict
+
+    def chunks(self, fmt: str) -> list:
+        """The JSON (meta plus one object per row) with a final newline, or one
+        CSV line per row: theta, residual norm, verdict, the failing labels
+        joined by ";" and the seven angles."""
+        if fmt == "json":
+            return [json_text({**self.meta, "rows": [row.to_dict() for row in self.rows]}) + "\n"]
+        lines = ["theta,residual_norm,solved,failing," + ",".join(lrmodel.ANGLE_NAMES)]
+        for row in self.rows:
+            failing = ";".join(label for label, _ in row.failing)
+            angles = ",".join(repr(getattr(row.angles, n)) for n in lrmodel.ANGLE_NAMES)
+            lines.append(f"{row.theta!r},{row.angles.residual_norm!r},{row.solved},{failing},{angles}")
+        return ["\n".join(lines) + "\n"]
+
+
+def hardy_scan(thetas, theta_grid: str, unit: str, seed: int, starts: int,
+               tolerances=None) -> HardyScan:
+    """The angle system solved at each theta (radians) of a grid given as
+    theta_grid in unit, certified at the solver_residual tolerance."""
+    tol = (tolerances or DEFAULT_TOLERANCES)["solver_residual"]
+    meta = {"command": "solve-hardy", "theta_grid": theta_grid, "unit": unit, "seed": seed,
+            "starts": starts, "tolerance": tol}
+    return HardyScan(lrmodel.scan_hardy(thetas, starts=starts, seed=seed, tol=tol), meta)
+
+
+def chsh_sweep_table(sweep: dict) -> FloatTable:
+    """The scan-chsh artifact of an lrmodel.scan_chsh sweep: per quadruple its
+    four coplanar angles, the model's CHSH string and its displayed bound."""
+    return FloatTable("t_a,t_a_prime,t_b,t_b_prime,value,bound",
+                      (sweep["angles"], sweep["values"], sweep["bounds"]))

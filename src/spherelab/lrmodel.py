@@ -84,11 +84,6 @@ class DecompositionResult:
         object.__setattr__(self, "f", float(self.f))
         object.__setattr__(self, "g", float(self.g))
 
-    def direction(self) -> np.ndarray:
-        if self.g < 1e-300:
-            raise ValueError("oriented part vanishes; direction undefined")
-        return self.oriented / self.g
-
     def reconstruct(self, orientation: int = 1) -> tuple[float, np.ndarray]:
         """(scalar, oriented components) of the point at the given orientation."""
         return self.f, orientation * self.oriented
@@ -302,12 +297,6 @@ class HardyAngles:
 
     def solved(self, tol: float = 1e-10) -> bool:
         return self.residual_norm < tol
-
-    def to_dict(self) -> dict:
-        d = {n: getattr(self, n) for n in ANGLE_NAMES}
-        d["theta"] = self.theta
-        d["residual_norm"] = self.residual_norm
-        return d
 
 
 def _theta_terms(theta) -> np.ndarray:

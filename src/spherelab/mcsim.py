@@ -35,10 +35,9 @@ result is independent of scheduling without any floating-point care.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Real
 from typing import Callable, NamedTuple
 
@@ -46,6 +45,7 @@ import numpy as np
 
 from . import lrmodel
 from .geometry import require_unit
+from .report import json_text
 from .sphere7 import get_table
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -115,10 +115,6 @@ class PlusMinusDistribution:
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"weight_plus must lie in [0, 1], got {w!r}")
         object.__setattr__(self, "weight_plus", w)
-
-    @property
-    def weights(self) -> tuple[float, float]:
-        return (self.weight_plus, 1.0 - self.weight_plus)
 
     def to_json_obj(self) -> dict:
         return {"kind": "uniform_pm", "weight_plus": self.weight_plus}
@@ -267,20 +263,21 @@ class EnsembleReport:
     seed: int
     config: dict
 
-    def to_json_obj(self) -> dict:
-        return {
-            "scalar_mean": self.scalar_mean,
-            "oriented_mean": list(self.oriented_mean),
-            "oriented_sigma": list(self.oriented_sigma),
-            "sign_channel_mean": self.sign_channel_mean,
-            "sign_channel_deviation": self.sign_channel_deviation,
-            "trials": self.trials,
-            "seed": self.seed,
-            "config": self.config,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+        return json_text(asdict(self))
+
+    def chunks(self, fmt: str) -> list:
+        """The artifact text: the JSON with a final newline, or one field,value
+        CSV line per number, floats in repr form."""
+        if fmt == "json":
+            return [self.to_json() + "\n"]
+        lines = ["field,value", f"scalar_mean,{self.scalar_mean!r}"]
+        lines += [f"oriented_mean_{i},{v!r}" for i, v in enumerate(self.oriented_mean, start=1)]
+        lines += [f"oriented_sigma_{i},{v!r}" for i, v in enumerate(self.oriented_sigma, start=1)]
+        lines += [f"sign_channel_mean,{self.sign_channel_mean!r}",
+                  f"sign_channel_deviation,{self.sign_channel_deviation!r}",
+                  f"trials,{self.trials}", f"seed,{self.seed}"]
+        return ["\n".join(lines) + "\n"]
 
 
 def _orientation_sum(stream: LambdaStream, trials: int, workers: int) -> int:

@@ -1,14 +1,17 @@
-"""Comparison reports: model-vs-oracle rows held as columns, and the one
-writer of their JSON and CSV artifacts.
+"""Comparison reports, model-vs-oracle rows held as columns, and the writers
+of the artifact layouts: json_text, the one JSON encoding of every artifact,
+and FloatTable, the plot-ready CSV of a float table. Every artifact kind
+(ComparisonReport, FloatTable, mcsim.EnsembleReport, compare.HardyScan)
+gives its text for a format as chunks(fmt), str chunks to write as they come.
 
 A report holds labels and float64 model, oracle and tolerance columns. The
 residual (model - oracle) and the verdicts derive from them: a row matches
 iff |residual| <= tolerance, so a NaN residual is a mismatch.
 
-The artifact layout is a byte-stable contract: the JSON is what
-json.dumps({"meta": meta, "rows": [row dicts]}, indent=2, sort_keys=True)
-writes, the CSV what csv.writer writes under CSV_COLUMNS, floats in repr
-form. Both stream from one template, CHUNK_ROWS rows per chunk.
+The comparison layout is a byte-stable contract: the JSON is what
+json_text({"meta": meta, "rows": [row dicts]}) writes, the CSV what
+csv.writer writes under CSV_COLUMNS, floats in repr form. Both stream from
+one template, CHUNK_ROWS rows per chunk.
 """
 
 from __future__ import annotations
@@ -16,8 +19,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import tempfile
 from collections import namedtuple
+from collections.abc import Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +34,17 @@ ComparisonRow = namedtuple("ComparisonRow", CSV_COLUMNS)
 # Rows formatted per chunk: one repr of a whole column would hold every
 # row's text at once and raise the peak memory.
 CHUNK_ROWS = 4096
+SPILL_READ_BYTES = 1 << 16  # larger reads of a spill file raise the peak RSS
 
 # One row of the indent=2, sort_keys JSON layout (keys in sorted order).
 _JSON_ROW = ('    {{\n      "label": {},\n      "model": {},\n      "oracle": {},\n'
              '      "residual": {},\n      "tolerance": {},\n      "verdict": "{}"\n    }}')
+
+
+def json_text(obj) -> str:
+    """The JSON encoding of every artifact: two-space indents and sorted keys,
+    without a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _reprs(column: np.ndarray, json_form: bool) -> list:
@@ -105,7 +120,7 @@ class ComparisonReport:
 
     def json_chunks(self):
         """The JSON text in chunks, without a final newline."""
-        meta = json.dumps(self.meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        meta = json_text(self.meta).replace("\n", "\n  ")
         head = f'{{\n  "meta": {meta},\n  "rows": ['
         if not self.labels:
             yield head + "]\n}"
@@ -123,6 +138,11 @@ class ComparisonReport:
             csv.writer(buf, lineterminator="\n").writerows(zip(*columns))
             yield buf.getvalue()
 
+    def chunks(self, fmt: str) -> Iterator[str]:
+        """The artifact text in chunks: the JSON with a final newline, or the
+        CSV. The chunk methods are looked up on each call."""
+        return chain(self.json_chunks(), "\n") if fmt == "json" else self.csv_chunks()
+
     def to_json(self) -> str:
         return "".join(self.json_chunks())
 
@@ -133,3 +153,106 @@ class ComparisonReport:
     def from_json(cls, doc: str) -> "ComparisonReport":
         data = json.loads(doc)
         return cls([ComparisonRow(**row) for row in data["rows"]], data["meta"])
+
+
+def _csv_rows(part: np.ndarray) -> str:
+    """The CSV lines of a 2-D float table, each value written as repr(float(x)).
+
+    The list repr is "[[x, y], [z, w]]" with every float in repr form; a
+    float's repr never holds "[" or ", ", so replacing the separators gives
+    exactly the per-value rows.
+    """
+    text = repr(part.tolist())
+    return text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
+
+
+def _fork_rows(parts: list) -> tuple[int, object] | None:
+    """(pid, spill) of a child process that writes the CSV lines of parts into
+    spill, an unlinked temporary file, and exits 0; None when no child could
+    be started. The child leaves through os._exit, so it runs no atexit
+    handler and flushes none of the buffers it shares with the parent."""
+    spill = None
+    try:
+        spill = tempfile.TemporaryFile()
+        pid = os.fork()
+    except OSError:
+        if spill is not None:
+            spill.close()
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for part in parts:
+                spill.write(_csv_rows(part).encode("ascii"))
+            spill.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, spill
+
+
+def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
+    """CSV text of a 2-D float table, each value written as repr(float(x)),
+    as one chunk of lines per CHUNK_ROWS rows, so that a writer never
+    holds the whole text.
+
+    The chunks are cut into contiguous slices, one per CPU this process may
+    run on. The parent formats the first slice and yields it as it goes; a
+    forked child formats each other slice into its own spill file, which the
+    parent copies out, in SPILL_READ_BYTES reads, once the child exited 0.
+    Every chunk is formatted by the same _csv_rows and the slices are joined
+    in order, so the text is the same for any number of slices. With one
+    chunk or one CPU, without os.fork, or once a fork fails, the parent
+    formats the remaining slices itself. A child that fails raises a
+    RuntimeError, so a truncated text never reads as complete; on any early
+    exit of this generator (an exception, or close() by the writer) every
+    child still running is killed and reaped.
+    """
+    parts = [table[lo:lo + CHUNK_ROWS] for lo in range(0, len(table), CHUNK_ROWS)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_slices = min(cpus, len(parts)) if hasattr(os, "fork") else 1
+    edges = [len(parts) * k // n_slices for k in range(n_slices + 1)]
+    slices = [parts[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    children, spills = {}, {}  # by slice index
+    try:
+        for k in range(1, n_slices):
+            child = _fork_rows(slices[k])
+            if child is None:
+                break
+            children[k], spills[k] = child
+        yield header + "\n"
+        for k, own in enumerate(slices):
+            if k not in children:
+                for part in own:
+                    yield _csv_rows(part)
+                continue
+            code = os.waitstatus_to_exitcode(os.waitpid(children[k], 0)[1])
+            pid = children.pop(k)
+            if code != 0:
+                raise RuntimeError(f"CSV formatter process {pid} exited with status {code}")
+            spills[k].seek(0)
+            while chunk := spills[k].read(SPILL_READ_BYTES):
+                yield chunk.decode("ascii")
+    finally:
+        if children:
+            import signal
+
+            for pid in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for spill in spills.values():
+            spill.close()
+
+
+class FloatTable(NamedTuple):
+    """Float columns under a CSV header line, written as CSV only: one line
+    per row, each value as repr(float(x)). The columns are stacked into one
+    2-D table when the text is asked for."""
+
+    header: str
+    columns: tuple
+
+    def chunks(self, fmt: str) -> Iterator[str]:
+        if fmt != "csv":
+            raise ValueError(f"a float table is written as CSV only, got {fmt!r}")
+        return _float_csv(self.header, np.column_stack(self.columns))

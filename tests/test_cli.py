@@ -14,6 +14,7 @@ from collections.abc import Iterator
 
 import pytest
 
+import spherelab.report
 from spherelab import cli, compare, lrmodel, mcsim
 from spherelab.lrmodel import ComparisonReport
 from spherelab.report import CHUNK_ROWS
@@ -316,14 +317,14 @@ def test_a_failing_write_closes_the_stream_at_once(tmp_path, monkeypatch):
 def test_a_failing_formatter_process_exits_three_without_an_artifact(tmp_path, monkeypatch,
                                                                      capsys):
     _cpus(monkeypatch, 2)
-    parent, rows = os.getpid(), cli._csv_rows
+    parent, rows = os.getpid(), spherelab.report._csv_rows
 
     def failing_in_a_child(part):
         if os.getpid() != parent:
             raise RuntimeError("formatter fault")
         return rows(part)
 
-    monkeypatch.setattr(cli, "_csv_rows", failing_in_a_child)
+    monkeypatch.setattr(spherelab.report, "_csv_rows", failing_in_a_child)
     out = tmp_path / "sweep.csv"
     assert run_cli("scan-chsh", "--count", "8193", "--out", str(out)) == 3
     err = capsys.readouterr().err
@@ -473,6 +474,45 @@ def test_hardy_theta_comes_from_the_angles_file(command, tmp_path):
         written[name] = out.read_bytes()
     assert written["file"] == written["flag"]
     assert written["both"] == written["flag45"] != written["flag"]  # the flag wins
+
+
+@pytest.mark.parametrize("command", (("qm", "--state", "hardy"), ("model", "--which", "hardy")),
+                         ids=("qm", "model"))
+def test_hardy_angles_file_needs_no_angles_list(command, tmp_path, capsys):
+    # The hardy setting takes no directions, so a file holding only theta does.
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"theta": 30}))
+    written = []
+    for argv in (("--angles-file", str(path)), ("--theta", "30")):
+        out = tmp_path / f"{len(written)}.json"
+        assert run_cli(*command, *argv, "--unit", "deg", "--out", str(out)) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    # A file with neither key gives no theta.
+    path.write_text("{}")
+    capsys.readouterr()
+    out = tmp_path / "never.json"
+    assert run_cli(*command, "--angles-file", str(path), "--unit", "deg", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --theta required") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("state", ("singlet", "chsh", "hardy", "ghz3", "ghz4", "all"))
+@pytest.mark.parametrize("strict", ((), ("--strict-table",)), ids=("relaxed", "strict"))
+def test_compare_unknown_table_exits_two_before_any_build(state, strict, tmp_path, monkeypatch,
+                                                          capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("no comparison may be built for an unknown table")
+
+    for name in compare.BUILDERS:
+        monkeypatch.setitem(compare.BUILDERS, name, never)
+    out = tmp_path / "never.json"
+    assert run_cli("compare", "--state", state, "--samples", "5", "--table", "bogus", *strict,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown cross table 'bogus'") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_solve_hardy_unparsable_grid_names_the_flag(capsys):
