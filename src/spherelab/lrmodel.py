@@ -16,11 +16,11 @@ Contents:
   * singlet correlation -a.b and the CHSH string with its displayed
     2 sqrt(1 - (a x a').(b' x b)) bound,
   * the Hardy tilted-point construction: a seven-angle constraint system
-    (one residual kernel over angle stacks) solved as least squares by one
-    batched Levenberg-Marquardt iteration over quasi-random multi-starts
-    with an exact complex-step Jacobian (a theta grid is two such calls:
-    every point's starts, then restarts from each point's neighbours),
-    joint predictions from solved angles,
+    solved as least squares by one batched Levenberg-Marquardt iteration
+    over quasi-random multi-starts (a theta grid is two such calls: every
+    point's starts, then restarts from each point's neighbours) on one real
+    kernel giving the residuals and their analytic J^T J and J^T r; joint
+    predictions from solved angles,
   * three- and four-particle pipelines on S^7 in two modes: "pinned_z"
     evaluates the dot-product expansion with the postulated anisotropy
     vector Z = e3 * prod(n_iz); "table" evaluates the cross-product form
@@ -35,6 +35,7 @@ Comparison results are collected into column-backed ComparisonReports
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -293,83 +294,154 @@ class HardyAngles:
 
     def with_residual(self) -> "HardyAngles":
         rn = float(np.linalg.norm(hardy_residuals(self)))
-        return HardyAngles(self.theta, *self.as_array(), residual_norm=rn, diverged=self.diverged)
+        return HardyAngles(self.theta, *self.as_array().tolist(), residual_norm=rn, diverged=self.diverged)
 
     def solved(self, tol: float = 1e-10) -> bool:
         return self.residual_norm < tol
 
 
 def _theta_terms(theta) -> np.ndarray:
-    """The five theta constants of the product form, as a (..., 5) array for
-    a theta of any shape: k = cos(2 theta) as 1 - 2 sin^2, then sin/s,
-    sin cos^2/s, cos^3/s and cos/s with s = sqrt(1 + cos^2).
-
-    Each distinct theta is worked with Python float arithmetic (numpy's
-    vectorized power can differ from libm's pow in the last bit), so a
-    per-row theta gives the same bits as the scalar one.
+    """The constant factor columns of the kernel's term table, as (..., 9)
+    for a theta of any shape: 1, -1, k, -k, 0, sin/s, -sin cos^2/s, -cos^3/s
+    and -cos/s, with k = cos(2 theta) as 1 - 2 sin^2 and s = sqrt(1 + cos^2).
+    Each distinct theta is worked in Python floats (numpy's vectorized power
+    can differ from libm's pow in the last bit), so a per-row theta gives
+    the bits of the scalar one.
     """
     if isinstance(theta, float):
         return np.array(_scalar_theta_terms(theta))
     theta = np.asarray(theta, dtype=float)
     values, where = np.unique(theta, return_inverse=True)
     table = np.array([_scalar_theta_terms(t) for t in values.tolist()])
-    return table[where].reshape(theta.shape + (5,))
+    return table[where].reshape(theta.shape + (9,))
 
 
 def _scalar_theta_terms(theta: float) -> tuple:
     ct, st = math.cos(theta), math.sin(theta)
     s = math.sqrt(1.0 + ct * ct)
-    return 1.0 - 2.0 * st * st, st / s, st * ct * ct / s, ct**3 / s, ct / s
+    k = 1.0 - 2.0 * st * st
+    return 1.0, -1.0, k, -k, 0.0, st / s, -(st * ct * ct / s), -(ct**3 / s), -(ct / s)
+
+
+# The 14 trig arguments x[_ARG_IDX[0]] + _ARG_SIGN * x[_ARG_IDX[1]]: the
+# angles (sign 0: x + 0 x is x), then alpha+beta, rho+nu, gamma+delta,
+# gamma-nu, rho-delta, alpha+eta and eta-beta.
+_ARG_IDX = np.array([[0, 1, 2, 3, 4, 5, 6, 0, 5, 2, 2, 5, 0, 4],
+                     [0, 1, 2, 3, 4, 5, 6, 1, 6, 3, 6, 3, 4, 1]])
+_ARG_SIGN = np.array([0.0] * 7 + [1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+
+
+def _kernel_tables():
+    """Terms: every residual, then each nonzero d r_i / d x_j (entry i * 7 +
+    j), then a zero, as runs of terms (c, f, g) = t[c] * t[f] * t[g] over the
+    columns t of cos(args), sin(args) and _theta_terms; c is the signed
+    coefficient.  A derivative term differentiates one trig factor of a
+    residual term (cos -> -sin, sin -> cos, times the sign of x_j in it).
+    Gram: runs of products of two of those outputs giving the upper triangle
+    of G^T G for G = [J | r] (J^T J by rows, J^T r, r^T r), and the index of
+    each (7, 7) J^T J entry in it.
+    """
+    al, be, ga, de, et, ro, nu, ab, rn, gd, gn, rd, ae, eb = range(14)  # cos(args)
+    s_al, s_be, s_ga, s_de, s_et, s_ro, s_nu, *_, s_ae, _ = range(14, 28)  # sin(args)
+    one, minus, k, mk, zero, st, stcc, c3, ct = range(28, 37)
+
+    def flat(runs):
+        return (np.array([term for run in runs for term in run]).T.copy(),
+                np.cumsum([0] + [len(run) for run in runs[:-1]]))
+
+    residuals = (
+        ((one, ga, be), (mk, s_ga, s_be)),
+        ((one, al, de), (mk, s_al, s_de)),
+        ((one, ab, one), (st, one, one)),
+        ((one, rn, one), (one, gd, one), (st, one, one)),
+        ((one, gd, one), (stcc, one, one)),
+        ((one, ro, s_et), (minus, nu, et), (mk, s_ro, et), (k, s_nu, s_et)),
+        ((one, ga, s_et), (minus, de, et), (mk, s_de, s_et), (k, s_ga, et)),
+        ((one, al, nu), (minus, ro, be), (mk, s_ro, s_be), (k, s_al, s_nu)),
+        ((minus, ro, s_et), (one, nu, et), (k, s_ro, et), (mk, s_nu, s_et)),
+        ((one, gn, one), (c3, one, one)),
+        ((one, rd, one), (c3, one, one)),
+        ((one, s_ae, one), (ct, one, one)),
+        ((one, eb, one), (ct, one, one)),
+    )
+    sign = np.zeros((14, 7))  # of x_j in each argument
+    sign[range(14), _ARG_IDX[0]] = 1.0
+    sign[range(7, 14), _ARG_IDX[1, 7:]] = _ARG_SIGN[7:]
+    negated = {one: minus, minus: one, k: mk, mk: k}
+
+    runs, entries = list(residuals), []
+    for i, terms in enumerate(residuals):
+        for j in range(7):
+            run = []
+            for c, *factors in terms:
+                for pos, f in enumerate(factors):
+                    d = sign[f % 14, j] if f < 28 else 0.0
+                    if d:
+                        swapped = list(factors)
+                        swapped[pos] = f + 14 if f < 14 else f - 14
+                        run.append((c if d * (-1 if f < 14 else 1) > 0 else negated[c], *swapped))
+            if run:
+                runs.append(run)
+                entries.append(i * 7 + j)
+    runs.append([(zero, one, one)])
+
+    column = {(i, 7): i for i in range(13)}  # of G[i, a] in the terms' outputs
+    column.update({divmod(e, 7): 13 + n for n, e in enumerate(entries)})
+    outputs = [(a, b) for a in range(7) for b in range(a, 7)] + [(a, 7) for a in range(8)]
+    gram = [[(column[i, a], column[i, b]) for i in range(13) if (i, a) in column and (i, b) in column]
+            or [(len(runs) - 1,) * 2] for a, b in outputs]
+    square = [outputs.index((min(a, b), max(a, b))) for a in range(7) for b in range(7)]
+    return (*flat(runs), np.array(entries), *flat(gram), np.array(square))
+
+
+_FACTORS, _STARTS, _JAC_ENTRIES, _GRAM_PAIRS, _GRAM_STARTS, _GRAM_SQUARE = _kernel_tables()
+
+
+def _hardy_terms(x: np.ndarray, consts: np.ndarray, jacobian: bool) -> np.ndarray:
+    """The product-form residuals of an (m, 7) stack with its (m, 9)
+    _theta_terms rows, (m, 13); with jacobian, then J's nonzero entries
+    (_JAC_ENTRIES) and a zero, (m, 47): one set of cos/sin values, one gather
+    and one np.add.reduceat.  A row's bits do not depend on the stack."""
+    pairs = x.take(_ARG_IDX, axis=1)
+    args = pairs[:, 0] + _ARG_SIGN * pairs[:, 1]
+    t = np.concatenate([np.cos(args), np.sin(args), consts], axis=1)
+    f = t.take(_FACTORS if jacobian else _FACTORS[:, :_STARTS[13]], axis=1)
+    return np.add.reduceat(f[:, 0] * f[:, 1] * f[:, 2], _STARTS if jacobian else _STARTS[:13], axis=1)
 
 
 def _product_residuals(x, theta) -> np.ndarray:
-    """Product-form residuals for a (..., 7) stack of angle vectors (real or
-    complex, in ANGLE_NAMES order); returns (..., 13).  theta is a scalar or
-    one value per row, broadcast against the stack's leading shape."""
-    return _residuals_at(x, _theta_terms(theta))
+    """Product-form residuals for a (..., 7) stack of angle vectors (in
+    ANGLE_NAMES order); returns (..., 13).  theta is a scalar or one value
+    per row, broadcast against the stack's leading shape."""
+    lead = np.shape(x)[:-1]
+    consts = np.broadcast_to(_theta_terms(theta), lead + (9,)).reshape(-1, 9)
+    return _hardy_terms(np.reshape(x, (-1, 7)), consts, False).reshape(lead + (13,))
 
 
-def _residuals_at(x, terms: np.ndarray, cos_sin=None) -> np.ndarray:
-    """_product_residuals with the theta constants given as _theta_terms, and
-    optionally (cos(x), sin(x)) precomputed.
+def _product_jacobian(x: np.ndarray, theta) -> np.ndarray:
+    """(S, 13, 7) Jacobians of the product-form residuals at an (S, 7) stack;
+    theta is a scalar or one value per row."""
+    jac, consts = np.zeros((len(x), 91)), np.broadcast_to(_theta_terms(theta), (len(x), 9))
+    jac[:, _JAC_ENTRIES] = _hardy_terms(x, consts, True)[:, 13:-1]
+    return jac.reshape(-1, 13, 7)
 
-    Every residual is a real-analytic trig expression in linear angle
-    combinations, so a complex stack gives the complex-step derivative.  The
-    operations and their order are those of the one-row form, so a real row
-    gives the same bits as hardy_residuals.
-    """
-    cos_x, sin_x = (np.cos(x), np.sin(x)) if cos_sin is None else cos_sin
-    # Transposing puts the angle (and term) axis first for unpacking; the
-    # stack is transposed back at the end.
-    k, st_s, stcc_s, c3_s, ct_s = terms.T
-    al, be, ga, de, et, ro, nu = x.T
-    c_al, c_be, c_ga, c_de, c_et, c_ro, c_nu = cos_x.T
-    s_al, s_be, s_ga, s_de, s_et, s_ro, s_nu = sin_x.T
 
-    ratio_rne_num = c_ro * s_et - c_nu * c_et
-    ratio_rne_den = s_ro * c_et - s_nu * s_et
-    ratio_gde_num = c_ga * s_et - c_de * c_et
-    ratio_gde_den = s_de * s_et - s_ga * c_et
-    ratio_anrb_num = c_al * c_nu - c_ro * c_be
-    ratio_anrb_den = s_ro * s_be - s_al * s_nu
-    cos_gd = np.cos(ga + de)
-    return np.stack(
-        [
-            c_ga * c_be - k * s_ga * s_be,
-            c_al * c_de - k * s_al * s_de,
-            np.cos(al + be) + st_s,
-            np.cos(ro + nu) + cos_gd + st_s,
-            cos_gd - stcc_s,
-            ratio_rne_num - k * ratio_rne_den,
-            ratio_gde_num - k * ratio_gde_den,
-            ratio_anrb_num - k * ratio_anrb_den,
-            k * ratio_rne_den - ratio_rne_num,
-            np.cos(ga - nu) - c3_s,
-            np.cos(ro - de) - c3_s,
-            np.sin(al + et) - ct_s,
-            np.cos(et - be) - ct_s,
-        ]
-    ).T
+# Rows per _hardy_terms call, so a 608-row scan pass keeps the peak memory.
+_KERNEL_BLOCK_ROWS = 64
+
+
+def _hardy_kernel(x: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """The upper triangle of [J | r]^T [J | r], residuals r and Jacobian J,
+    at an (S, 7) stack with its (S, 9) _theta_terms rows, as (S, 36): J^T J
+    by rows (28; _GRAM_SQUARE gathers the 7x7), J^T r (7), then r^T r.  Per
+    64-row block, _hardy_terms gives r and J's nonzero entries, and the same
+    product-and-reduceat step over the Gram table gives the triangle."""
+    gram = np.empty((len(x), 36))
+    for lo in range(0, len(x), _KERNEL_BLOCK_ROWS):
+        rows = slice(lo, lo + _KERNEL_BLOCK_ROWS)
+        g = _hardy_terms(x[rows], consts[rows], True).take(_GRAM_PAIRS, axis=1)
+        gram[rows] = np.add.reduceat(g[:, 0] * g[:, 1], _GRAM_STARTS, axis=1)
+    return gram
 
 
 def hardy_residuals(angles: HardyAngles, form: str = "product") -> np.ndarray:
@@ -379,79 +451,31 @@ def hardy_residuals(angles: HardyAngles, form: str = "product") -> np.ndarray:
     polynomial-in-trig form (identical zero set, no poles); this is the
     form the solver minimizes and the one residual_norm certifies.  It is
     one row of the _product_residuals kernel.
-    form="ratio": the literal printed quotients; raises HardyPoleError when
-    a denominator (a sine entering a cotangent, or a ratio denominator)
-    falls below 1e-12 in magnitude.
+    form="ratio": the printed quotients (cotangent products and ratios);
+    raises HardyPoleError when a denominator (a sine entering a cotangent,
+    or a ratio denominator) falls below 1e-12 in magnitude.
     """
     if form not in ("product", "ratio"):
         raise ValueError(f"form must be 'product' or 'ratio', got {form!r}")
     r = _product_residuals(angles.as_array(), angles.theta)
     if form == "product":
         return r
-    # The ratio form differs only in the six quotient rows; the sin/cos-sum
-    # rows are shared.
-    al, be, ga, de, et, ro, nu = angles.as_array()
-    st = math.sin(angles.theta)
-    k = 1.0 - 2.0 * st * st
+    al, be, ga, de, et, ro, nu = angles.as_array().tolist()
     cos, sin = math.cos, math.sin
-
-    ratio_rne_num = cos(ro) * sin(et) - cos(nu) * cos(et)
-    ratio_rne_den = sin(ro) * cos(et) - sin(nu) * sin(et)
-    ratio_gde_num = cos(ga) * sin(et) - cos(de) * cos(et)
-    ratio_gde_den = sin(de) * sin(et) - sin(ga) * cos(et)
-    ratio_anrb_num = cos(al) * cos(nu) - cos(ro) * cos(be)
-    ratio_anrb_den = sin(ro) * sin(be) - sin(al) * sin(nu)
-
-    for name, val in (
-        ("sin(gamma)", sin(ga)),
-        ("sin(beta)", sin(be)),
-        ("sin(alpha)", sin(al)),
-        ("sin(delta)", sin(de)),
-        ("ratio_rho_nu_eta denominator", ratio_rne_den),
-        ("ratio_gamma_delta_eta denominator", ratio_gde_den),
-        ("ratio_alpha_nu_rho_beta denominator", ratio_anrb_den),
-    ):
+    dens = {
+        "sin(gamma)": sin(ga), "sin(beta)": sin(be), "sin(alpha)": sin(al), "sin(delta)": sin(de),
+        "ratio_rho_nu_eta denominator": sin(ro) * cos(et) - sin(nu) * sin(et),
+        "ratio_gamma_delta_eta denominator": sin(de) * sin(et) - sin(ga) * cos(et),
+        "ratio_alpha_nu_rho_beta denominator": sin(ro) * sin(be) - sin(al) * sin(nu),
+    }
+    for name, val in dens.items():
         if abs(val) < 1e-12:
             raise HardyPoleError(f"{name} vanishes; ratio-form residual undefined")
-    r[0] = (cos(ga) / sin(ga)) * (cos(be) / sin(be)) - k
-    r[1] = (cos(al) / sin(al)) * (cos(de) / sin(de)) - k
-    r[5] = ratio_rne_num / ratio_rne_den - k
-    r[6] = ratio_gde_num / ratio_gde_den - k
-    r[7] = ratio_anrb_num / ratio_anrb_den - k
-    r[8] = k - ratio_rne_num / ratio_rne_den
+    # Each quotient row is its product row divided back by the denominators
+    # it was cross-multiplied with; the sin/cos-sum rows are shared.
+    s_ga, s_be, s_al, s_de, rne, gde, anrb = dens.values()
+    r[[0, 1, 5, 6, 7, 8]] /= (s_ga * s_be, s_al * s_de, rne, gde, anrb, rne)
     return r
-
-
-# Complex-step size: the imaginary part of r(x + i h e_k) / h is the exact
-# derivative up to O(h^2), and no difference is taken, so h can be tiny.
-_COMPLEX_STEP = 1e-30
-
-
-def _product_jacobian(x: np.ndarray, theta) -> np.ndarray:
-    """(S, 13, 7) Jacobians of the product-form residuals at an (S, 7) stack;
-    theta is a scalar or one value per row."""
-    return _jacobian_at(x, np.broadcast_to(_theta_terms(theta), (len(x), 5)))
-
-
-def _jacobian_at(x: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """_product_jacobian with (S, 5) per-row theta constants, from one kernel
-    call on the (S, 7, 7) complex-step stack.
-
-    Row k of a stack perturbs angle k alone, so only the stack's diagonal
-    needs a complex cos and sin; elsewhere they are the real values.  (The
-    complex functions give those too, with a zero imaginary part whose sign
-    may differ, which changes no derivative.)
-    """
-    # Built per call, not at import: numpy's first complex arithmetic pages
-    # in about 0.25 MB, which runs that never solve should not pay.
-    stack = x[:, None, :] + (1j * _COMPLEX_STEP) * np.eye(7)
-    cos_x, sin_x = np.empty_like(stack), np.empty_like(stack)
-    cos_x[:], sin_x[:] = np.cos(x)[:, None, :], np.sin(x)[:, None, :]
-    diag = np.arange(7)
-    stepped = stack[:, diag, diag]
-    cos_x[:, diag, diag], sin_x[:, diag, diag] = np.cos(stepped), np.sin(stepped)
-    r = _residuals_at(stack, terms[:, None, :], (cos_x, sin_x))
-    return np.swapaxes(r.imag, -1, -2) / _COMPLEX_STEP
 
 
 def _wrap_angles(x: np.ndarray) -> np.ndarray:
@@ -464,10 +488,6 @@ def _wrap_angles(x: np.ndarray) -> np.ndarray:
 # that cuts the theta = 0 starts short loses its certification.
 _LM_XTOL = _LM_FTOL = _LM_GTOL = 1e-15
 _LM_MAX_ITER = 2000
-# Rows per Jacobian block: the complex-step stack and its kernel temporaries
-# are 7x a residual call's, so a 608-row scan pass in one block raised the
-# scan's peak memory by about 10%; 64-row blocks cost no measurable time.
-_JACOBIAN_BLOCK_ROWS = 64
 # Initial damping, relative to diag(J^T J): first steps are nearly
 # Gauss-Newton, as MINPACK's are (its first trust radius is 100 |D x0|).
 # Over seeds 0..99 this keeps the minimum found closer to MINPACK's than
@@ -480,95 +500,79 @@ def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
     an (S, 7) start stack at once; returns the (S, 7) final iterates.  theta
     is a scalar or one value per row, so one call can solve a whole grid.
 
-    Damping (Marquardt-scaled by diag(J^T J)), step acceptance and the
-    stopping tests are per start; each iteration solves the damped normal
-    equations of all active starts with one np.linalg.solve call.  A step
-    is taken only when it lowers the cost to a finite value, so a start
-    whose initial cost is finite ends finite, and one whose initial cost is
-    not never moves.  A start stops at its own xtol/ftol/gtol test, at a
-    non-finite step, or at the iteration cap.
+    Damping (Marquardt-scaled by diag(J^T J)), acceptance and stopping are
+    per start.  An iteration makes one np.linalg.solve call and one
+    _hardy_kernel call, at the trial points; an accepted start keeps the
+    trial's J^T J and J^T r.  A step is taken only when it lowers the cost,
+    so a finite start ends finite and a non-finite one never moves.  A start
+    stops at its own xtol/ftol/gtol test, a non-finite step or the cap.
     """
     out = np.array(x0, dtype=float)
-    terms = np.broadcast_to(_theta_terms(theta), (len(out), 5))
-    r = _residuals_at(out, terms)
-    cost = 0.5 * np.einsum("si,si->s", r, r)
-    ids = np.flatnonzero(np.isfinite(cost))  # rows of `out` still iterating
-    x, r, cost, terms = out[ids], r[ids], cost[ids], terms[ids]
-    n = len(ids)
-    jtj, grad, scale = np.zeros((n, 7, 7)), np.zeros((n, 7)), np.zeros((n, 7))
-    damping, growth = np.full(n, _LM_DAMPING0), np.full(n, 2.0)
-    fresh = np.ones(n, dtype=bool)  # starts whose Jacobian must be (re)computed
-    eye = np.eye(7)
+    consts = np.broadcast_to(_theta_terms(theta), (len(out), 9))
+    gram = _hardy_kernel(out, consts)
+    ids = np.flatnonzero(np.isfinite(gram[:, 35]))  # rows of `out` still iterating
+    x, gram, consts = out[ids], gram[ids], consts[ids]
+    scale, eye = np.zeros((len(ids), 7)), np.eye(7)
+    damping, growth = np.full(len(ids), _LM_DAMPING0), np.full(len(ids), 2.0)
 
-    for _ in range(_LM_MAX_ITER):
-        if not ids.size:
-            break
-        stale = np.flatnonzero(fresh)
-        for lo in range(0, len(stale), _JACOBIAN_BLOCK_ROWS):
-            block = stale[lo:lo + _JACOBIAN_BLOCK_ROWS]
-            jac = _jacobian_at(x[block], terms[block])
-            jtj[block] = np.einsum("ski,skj->sij", jac, jac)
-            grad[block] = np.einsum("ski,sk->si", jac, r[block])
-        col_sq = np.diagonal(jtj, axis1=1, axis2=2)
-        # Marquardt scaling, never shrinking (as MINPACK keeps its diag).
-        scale = np.maximum(scale, col_sq)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosines = np.abs(grad) / (np.sqrt(col_sq) * np.sqrt(2.0 * cost)[:, None])
-        gconv = (cost == 0.0) | (np.nan_to_num(cosines, nan=0.0).max(axis=1) <= _LM_GTOL)
+    # Non-finite ratios of rejected steps pick no value, and a damping that
+    # overflows stops its start.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(_LM_MAX_ITER):
+            if not ids.size:
+                break
+            jtj = gram.take(_GRAM_SQUARE, axis=1).reshape(-1, 7, 7)
+            grad, cost = gram[:, 28:35], 0.5 * gram[:, 35]
+            col_sq = np.diagonal(jtj, axis1=1, axis2=2)
+            # Marquardt scaling, never shrinking (as MINPACK keeps its diag).
+            scale = np.maximum(scale, col_sq)
+            # The gtol test, max |g_i| / (|J_i| |r|) <= gtol, on squares; a
+            # zero column (0/0) counts as converged.
+            gconv = (cost == 0.0) | ~(grad * grad > _LM_GTOL**2 * col_sq * gram[:, 35:]).any(axis=1)
 
-        lam_d = damping[:, None] * np.maximum(scale, np.finfo(float).tiny)
-        step = _batched_solve(jtj + lam_d[:, :, None] * eye, -grad)
-        finite_step = np.isfinite(step).all(axis=1)
-        step[~finite_step] = 0.0
-        trial = x + step
-        r_trial = _residuals_at(trial, terms)
-        cost_trial = 0.5 * np.einsum("si,si->s", r_trial, r_trial)
-        actual = cost - cost_trial
-        predicted = 0.5 * np.einsum("si,si->s", step, lam_d * step - grad)
-        accept = ~gconv & finite_step & np.isfinite(cost_trial) & (actual > 0.0)
+            lam_d = damping[:, None] * np.maximum(scale, np.finfo(float).tiny)
+            step = _batched_solve(jtj + lam_d[:, :, None] * eye, -grad)
+            finite_step = np.isfinite(step).all(axis=1)
+            step[~finite_step] = 0.0
+            trial = x + step
+            gram_trial = _hardy_kernel(trial, consts)
+            actual = cost - 0.5 * gram_trial[:, 35]
+            predicted = 0.5 * np.einsum("si,si->s", step, lam_d * step - grad)
+            # actual > 0 also rejects a non-finite trial cost.
+            accept = ~gconv & finite_step & (actual > 0.0)
 
-        # Nielsen's update: a good step shrinks the damping by up to 3x, each
-        # failure in a row grows it twice as fast as the one before.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(accept, actual / predicted, 0.0)
-        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
-        damping = np.where(accept, damping * shrink, damping * growth)
-        growth = np.where(accept, 2.0, 2.0 * growth)
-        root_scale = np.sqrt(scale)
-        xconv = np.linalg.norm(root_scale * step, axis=1) <= _LM_XTOL * (
-            np.linalg.norm(root_scale * x, axis=1) + _LM_XTOL
-        )
-        fconv = accept & (actual <= _LM_FTOL * cost) & (predicted <= _LM_FTOL * cost)
+            # Nielsen's update: a good step shrinks the damping by up to 3x,
+            # each failure in a row grows it twice as fast as the one before.
+            shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(actual / predicted, 1.0) - 1.0) ** 3)
+            damping = damping * np.where(accept, shrink, growth)
+            growth = np.where(accept, 2.0, 2.0 * growth)
+            xconv = np.sqrt(np.einsum("si,si,si->s", scale, step, step)) <= _LM_XTOL * (
+                np.sqrt(np.einsum("si,si,si->s", scale, x, x)) + _LM_XTOL)
+            fconv = accept & (np.maximum(actual, predicted) <= _LM_FTOL * cost)
 
-        x = np.where(accept[:, None], trial, x)
-        r = np.where(accept[:, None], r_trial, r)
-        cost = np.where(accept, cost_trial, cost)
-        fresh = accept
-        done = gconv | xconv | fconv | ~finite_step | ~np.isfinite(damping)
-        if done.any():
-            out[ids[done]] = x[done]
-            keep = ~done
-            ids, x, r, cost, fresh = ids[keep], x[keep], r[keep], cost[keep], fresh[keep]
-            terms = terms[keep]
-            jtj, grad, scale = jtj[keep], grad[keep], scale[keep]
-            damping, growth = damping[keep], growth[keep]
+            x = np.where(accept[:, None], trial, x)
+            gram = np.where(accept[:, None], gram_trial, gram)
+            done = gconv | xconv | fconv | ~(finite_step & np.isfinite(damping))
+            if done.any():
+                out[ids[done]] = x[done]
+                keep = ~done
+                ids, x, gram, consts = ids[keep], x[keep], gram[keep], consts[keep]
+                scale, damping, growth = scale[keep], damping[keep], growth[keep]
     out[ids] = x
     return out
 
 
 def _batched_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve over a stack; a singular system yields a NaN row
-    instead of failing the whole stack."""
+    instead of failing the whole stack (the stack is split in halves until
+    the singular rows are alone)."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full_like(b, np.nan)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        if len(a) == 1:
+            return np.full_like(b, np.nan)
+        half = len(a) // 2
+        return np.concatenate([_batched_solve(a[:half], b[:half]), _batched_solve(a[half:], b[half:])])
 
 
 # Joe-Kuo primitive polynomials and initial direction numbers of Sobol'
@@ -578,11 +582,9 @@ _SOBOL_VINIT = ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13))
 _SOBOL_BITS = 30
 
 
-def _sobol_points(n: int, seed: int) -> np.ndarray:
-    """The first n points of the 7-dimensional Sobol' sequence in [0, 1)^7,
-    scrambled by a random linear matrix (LMS) and a digital shift drawn from
-    default_rng(seed); the same points as scipy.stats.qmc.Sobol(d=7,
-    scramble=True, seed=seed).random(n), bit for bit."""
+@functools.cache
+def _sobol_direction_bits() -> np.ndarray:
+    """The direction numbers' bits, most significant first: (7, 30, 30), read-only."""
     bits = _SOBOL_BITS
     v = np.ones((7, bits), dtype=np.int64)
     for d, (poly, init) in enumerate(zip(_SOBOL_POLYS, _SOBOL_VINIT), start=1):
@@ -594,17 +596,26 @@ def _sobol_points(n: int, seed: int) -> np.ndarray:
                 if (poly >> (m - 1 - k)) & 1:
                     new ^= v[d, j - k - 1] << (k + 1)
             v[d, j] = new
-    powers = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
-    v *= powers  # m_j / 2^(j + 1) as a 30-bit fraction
+    v <<= np.arange(bits - 1, -1, -1)  # m_j / 2^(j + 1) as a 30-bit fraction
+    msb_first = (v[..., None] >> np.arange(bits - 1, -1, -1)) & 1
+    msb_first.setflags(write=False)
+    return msb_first
 
+
+def _sobol_points(n: int, seed: int) -> np.ndarray:
+    """The first n points of the 7-dimensional Sobol' sequence in [0, 1)^7,
+    scrambled by a random linear matrix (LMS) and a digital shift drawn from
+    default_rng(seed); the same points as scipy.stats.qmc.Sobol(d=7,
+    scramble=True, seed=seed).random(n), bit for bit."""
+    bits = _SOBOL_BITS
+    powers = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
     rng = np.random.default_rng(seed)
     shift = rng.integers(2, size=(7, bits), dtype=np.uint32) @ powers[::-1]
     ltm = np.tril(rng.integers(2, size=(7, bits, bits), dtype=np.uint32))
     ltm[:, np.arange(bits), np.arange(bits)] = 1
     # With bits written most significant first, the scramble is a matrix
     # product mod 2: column j of each dimension becomes ltm @ bits(v[j]).
-    msb_first = (v[..., None] >> np.arange(bits - 1, -1, -1)) & 1
-    v = ((msb_first @ np.swapaxes(ltm, 1, 2)) % 2) @ powers
+    v = ((_sobol_direction_bits() @ np.swapaxes(ltm, 1, 2)) % 2) @ powers
 
     # Gray-code order: point i flips the direction of i's lowest set bit.
     lowest = [(i & -i).bit_length() - 1 for i in range(1, n)]
@@ -621,27 +632,20 @@ def _near_best(norms: np.ndarray) -> np.ndarray:
 def _pick(theta: float, near: np.ndarray, diverged: int, ref=None) -> HardyAngles:
     """The near-best iterate closest (wrapped) to the angle vector ref, when
     given, then with the smallest angle-vector norm."""
-    if ref is None:
-        best = min(near, key=np.linalg.norm)
-    else:
-        best = min(near, key=lambda x: (np.linalg.norm(_wrap_angles(x - ref)), np.linalg.norm(x)))
-    return HardyAngles(theta, *best, diverged=diverged).with_residual()
+    key = np.linalg.norm if ref is None else (
+        lambda x: (np.linalg.norm(_wrap_angles(x - ref)), np.linalg.norm(x)))
+    return HardyAngles(theta, *min(near, key=key).tolist(), diverged=diverged).with_residual()
 
 
-def solve_hardy(
-    theta: float,
-    init: HardyAngles | None = None,
-    *,
-    starts: int = 32,
-    seed: int = 20240901,
-) -> HardyAngles:
+def solve_hardy(theta: float, init: HardyAngles | None = None, *, starts: int = 32,
+                seed: int = 20240901) -> HardyAngles:
     """Least-squares solve of the 13-equation angle system at one theta.
 
-    One batched Levenberg-Marquardt iteration (exact complex-step Jacobian)
-    runs from `starts` scrambled-Sobol points in (0, pi)^7, plus `init`
-    first when given.  Returns the best iterate with its certified
-    residual_norm and the count of starts whose cost went non-finite; the
-    caller decides what residual_norm it will accept.  Ties within 1e-12 of
+    One batched Levenberg-Marquardt iteration (analytic Jacobian) runs from
+    `starts` scrambled-Sobol points in (0, pi)^7, plus `init` first when
+    given.  Returns the best iterate with its certified residual_norm and
+    the count of starts whose cost went non-finite; the caller decides what
+    residual_norm it will accept.  Ties within 1e-12 of
     the best norm break toward continuity with `init`, then toward the
     smallest angle-vector norm, as scan_hardy's do.  A lone theta has no
     neighbours to continue from, so it can miss a solution that scan_hardy
@@ -657,7 +661,7 @@ def solve_hardy(
     norms = np.linalg.norm(_product_residuals(xs, theta), axis=1)
     near = _near_best(norms)
     if not near.any():
-        best = HardyAngles(theta, *(_wrap_angles(x0s[0]))).with_residual()
+        best = HardyAngles(theta, *_wrap_angles(x0s[0]).tolist()).with_residual()
         raise HardySolverError(f"all {len(x0s)} starts diverged at theta={theta!r}", best=best)
     diverged = int(np.count_nonzero(~np.isfinite(norms)))
     return _pick(theta, xs[near], diverged, None if init is None else init.as_array())
@@ -721,7 +725,7 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
         theta = thetas[owner]
         xs = _wrap_angles(_solve_lm(x0, theta))
         norms = np.linalg.norm(_product_residuals(xs, theta), axis=1)
-        for i in np.unique(owner).tolist():
+        for i in dict.fromkeys(owner.tolist()):  # np.unique would load numpy.ma
             mine = owner == i
             near, near_norms, diverged, total = found[i]
             cand = np.vstack([near, xs[mine]])
@@ -748,17 +752,13 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
     prev = None
     for i, (theta, (near, _, diverged, total)) in enumerate(zip(thetas.tolist(), found)):
         if not len(near):
-            best = HardyAngles(theta, *_wrap_angles(np.pi * _sobol_points(1, seed + i)[0]))
+            best = HardyAngles(theta, *_wrap_angles(np.pi * _sobol_points(1, seed + i)[0]).tolist())
             raise HardySolverError(f"all {total} starts diverged at theta={theta!r}",
                                    best=best.with_residual())
         angles = _pick(theta, near, diverged, prev)
         res = hardy_residuals(angles)
-        failing = tuple(
-            sorted(
-                ((lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res) if abs(r) > tol),
-                key=lambda lr: -abs(lr[1]),
-            )
-        )
+        failing = tuple(sorted(((lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res) if abs(r) > tol),
+                               key=lambda lr: -abs(lr[1])))
         rows.append(HardyScanRow(theta, angles, angles.solved(tol), failing))
         prev = angles.as_array()
     return rows

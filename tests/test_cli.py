@@ -778,11 +778,12 @@ def test_compare_and_solve_hardy_load_no_scipy(tmp_path):
         "assert cli.main(['solve-hardy', '--theta-grid', '0:90:3', '--unit', 'deg',"
         " '--out', out + '/scan.csv', '--format', 'csv']) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "compare.json").exists() and (tmp_path / "scan.csv").exists()
 
 

@@ -7,7 +7,11 @@ solved angles reproduce the joint predictions; interior points do not
 certify and must be flagged with the violated equations, never hidden.
 """
 
+import cmath
+import inspect
+import io
 import math
+import tokenize
 import warnings
 
 import numpy as np
@@ -25,11 +29,12 @@ def _random_angles(theta=0.3):
     return HardyAngles(theta, *RNG.uniform(0, np.pi, 7))
 
 
-def _reference_product_residuals(theta, x):
-    """Independent math-based copy of the product form, one row at a time."""
-    al, be, ga, de, et, ro, nu = (float(v) for v in x)
-    cos, sin = math.cos, math.sin
-    ct, st = cos(theta), sin(theta)
+def _reference_product_residuals(theta, x, trig=math):
+    """Independent math-based copy of the product form, one row at a time;
+    trig=cmath takes a complex row, for complex-step derivatives."""
+    al, be, ga, de, et, ro, nu = (v if trig is cmath else float(v) for v in x)
+    cos, sin = trig.cos, trig.sin
+    ct, st = math.cos(theta), math.sin(theta)
     k = 1.0 - 2.0 * st * st
     s = math.sqrt(1.0 + ct * ct)
     rne_num = cos(ro) * sin(et) - cos(nu) * cos(et)
@@ -337,16 +342,53 @@ def test_per_row_theta_broadcasts_against_the_leading_shape():
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7])
-def test_jacobian_equals_the_full_complex_step_stack(theta):
-    # The Jacobian takes complex cos/sin only on the perturbed diagonal; the
-    # derivatives must be those of the whole complex stack, bit for bit.
+def test_jacobian_matches_a_complex_step_of_the_reference(theta):
+    # Im r(x + i h e_j) / h of the independent reference is d r / d x_j up
+    # to O(h^2), with no difference taken.
     x = RNG.uniform(-4.0, 4.0, (70, 7))
-    h = lrmodel._COMPLEX_STEP
-    full = lrmodel._product_residuals(x[:, None, :] + (1j * h) * np.eye(7), theta)
-    assert np.array_equal(lrmodel._product_jacobian(x, theta), np.swapaxes(full.imag, -1, -2) / h)
+    h = 1e-30
+    steps = 1j * h * np.eye(7)
+    want = np.array([[_reference_product_residuals(theta, row + e, cmath).imag / h for e in steps]
+                     for row in x.astype(complex)])
+    assert np.max(np.abs(lrmodel._product_jacobian(x, theta) - np.swapaxes(want, 1, 2))) <= 1e-14
 
 
 HARDY_GRID_0_90_19 = np.linspace(0.0, math.pi / 2, 19)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_19_point_scan_certifies_only_theta_zero(seed):
+    rows = lrmodel.scan_hardy(HARDY_GRID_0_90_19, seed=seed)
+    assert [row.solved for row in rows] == [True] + [False] * 18
+    assert rows[0].angles.residual_norm < 1e-12
+    assert all(row.diverged == 0 for row in rows)
+
+
+def test_solver_makes_one_kernel_call_per_iteration(monkeypatch):
+    counts = {"kernel": 0, "solve": 0}
+    kernel, solve = lrmodel._hardy_kernel, lrmodel._batched_solve
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(lrmodel, "_hardy_kernel", counted("kernel", kernel))
+    monkeypatch.setattr(lrmodel, "_batched_solve", counted("solve", solve))
+    lrmodel.solve_hardy(0.3, seed=3)
+    # One call at the starts, then one per iteration (one solve each).
+    assert counts["solve"] > 10 and counts["kernel"] == counts["solve"] + 1
+
+
+def test_kernel_and_solver_make_no_blas_call():
+    # Matrix products go through the BLAS kernel, whose summation order
+    # changes with the CPU; the residual kernel and the solver loop use none.
+    banned = {"@", "dot", "vdot", "matmul", "inner", "_inner", "tensordot"}
+    for fn in (lrmodel._hardy_terms, lrmodel._hardy_kernel, lrmodel._solve_lm):
+        tokens = tokenize.generate_tokens(io.StringIO(inspect.getsource(fn)).readline)
+        used = {t.string for t in tokens if t.type in (tokenize.OP, tokenize.NAME)} & banned
+        assert not used, (fn.__name__, used)
 
 
 @pytest.mark.parametrize("seed", [41065, 42814])
@@ -411,7 +453,7 @@ def test_scan_peak_memory_does_not_grow_with_the_grid(monkeypatch):
 
     monkeypatch.setattr(lrmodel, "_SCAN_MAX_ROWS", 32)
     calls = _count_solver_calls(monkeypatch)
-    lrmodel.scan_hardy([0.0], starts=2)  # page in numpy's complex arithmetic first
+    lrmodel.scan_hardy([0.0], starts=2)  # warm up
 
     def peak(points):
         tracemalloc.start()
