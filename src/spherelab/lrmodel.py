@@ -334,36 +334,35 @@ _ARG_SIGN = np.array([0.0] * 7 + [1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
 def _kernel_tables():
     """Terms: every residual, then each nonzero d r_i / d x_j (entry i * 7 +
     j), then a zero, as runs of terms (c, f, g) = t[c] * t[f] * t[g] over the
-    columns t of cos(args), sin(args) and _theta_terms; c is the signed
-    coefficient.  A derivative term differentiates one trig factor of a
-    residual term (cos -> -sin, sin -> cos, times the sign of x_j in it).
-    Gram: runs of products of two of those outputs giving the upper triangle
-    of G^T G for G = [J | r] (J^T J by rows, J^T r, r^T r), and the index of
-    each (7, 7) J^T J entry in it.
-    """
-    al, be, ga, de, et, ro, nu, ab, rn, gd, gn, rd, ae, eb = range(14)  # cos(args)
-    s_al, s_be, s_ga, s_de, s_et, s_ro, s_nu, *_, s_ae, _ = range(14, 28)  # sin(args)
-    one, minus, k, mk, zero, st, stcc, c3, ct = range(28, 37)
+    columns t of cos(args) (c_), sin(args) (s_) and _theta_terms, with c the
+    signed coefficient; a derivative term differentiates one trig factor (cos
+    -> -sin, sin -> cos, times the sign of x_j in it).  Gram: runs of products
+    of two outputs giving the upper triangle of [J | r]^T [J | r] (J^T J by
+    rows, J^T r, r^T r), and the index of each J^T J entry in it."""
+    args = "al be ga de et ro nu ab rn gd gn rd ae eb".split()
+    column = {f"{cs}_{a}": 14 * n + i for n, cs in enumerate("cs") for i, a in enumerate(args)}
+    column.update(zip("one minus k mk zero st stcc c3 ct".split(), range(28, 37)))
+    one, minus, k, mk, zero = range(28, 33)
 
     def flat(runs):
         return (np.array([term for run in runs for term in run]).T.copy(),
                 np.cumsum([0] + [len(run) for run in runs[:-1]]))
 
-    residuals = (
-        ((one, ga, be), (mk, s_ga, s_be)),
-        ((one, al, de), (mk, s_al, s_de)),
-        ((one, ab, one), (st, one, one)),
-        ((one, rn, one), (one, gd, one), (st, one, one)),
-        ((one, gd, one), (stcc, one, one)),
-        ((one, ro, s_et), (minus, nu, et), (mk, s_ro, et), (k, s_nu, s_et)),
-        ((one, ga, s_et), (minus, de, et), (mk, s_de, s_et), (k, s_ga, et)),
-        ((one, al, nu), (minus, ro, be), (mk, s_ro, s_be), (k, s_al, s_nu)),
-        ((minus, ro, s_et), (one, nu, et), (k, s_ro, et), (mk, s_nu, s_et)),
-        ((one, gn, one), (c3, one, one)),
-        ((one, rd, one), (c3, one, one)),
-        ((one, s_ae, one), (ct, one, one)),
-        ((one, eb, one), (ct, one, one)),
-    )
+    residuals = [[tuple(column[name] for name in term.split()) for term in line.split(",")]
+                 for line in """
+        one c_ga c_be, mk s_ga s_be
+        one c_al c_de, mk s_al s_de
+        one c_ab one, st one one
+        one c_rn one, one c_gd one, st one one
+        one c_gd one, stcc one one
+        one c_ro s_et, minus c_nu c_et, mk s_ro c_et, k s_nu s_et
+        one c_ga s_et, minus c_de c_et, mk s_de s_et, k s_ga c_et
+        one c_al c_nu, minus c_ro c_be, mk s_ro s_be, k s_al s_nu
+        minus c_ro s_et, one c_nu c_et, k s_ro c_et, mk s_nu s_et
+        one c_gn one, c3 one one
+        one c_rd one, c3 one one
+        one s_ae one, ct one one
+        one c_eb one, ct one one""".strip().splitlines()]
     sign = np.zeros((14, 7))  # of x_j in each argument
     sign[range(14), _ARG_IDX[0]] = 1.0
     sign[range(7, 14), _ARG_IDX[1, 7:]] = _ARG_SIGN[7:]
@@ -385,10 +384,10 @@ def _kernel_tables():
                 entries.append(i * 7 + j)
     runs.append([(zero, one, one)])
 
-    column = {(i, 7): i for i in range(13)}  # of G[i, a] in the terms' outputs
-    column.update({divmod(e, 7): 13 + n for n, e in enumerate(entries)})
+    g = {(i, 7): i for i in range(13)}  # the output holding G[i, a]
+    g.update({divmod(e, 7): 13 + n for n, e in enumerate(entries)})
     outputs = [(a, b) for a in range(7) for b in range(a, 7)] + [(a, 7) for a in range(8)]
-    gram = [[(column[i, a], column[i, b]) for i in range(13) if (i, a) in column and (i, b) in column]
+    gram = [[(g[i, a], g[i, b]) for i in range(13) if (i, a) in g and (i, b) in g]
             or [(len(runs) - 1,) * 2] for a, b in outputs]
     square = [outputs.index((min(a, b), max(a, b))) for a in range(7) for b in range(7)]
     return (*flat(runs), np.array(entries), *flat(gram), np.array(square))
@@ -398,24 +397,24 @@ _FACTORS, _STARTS, _JAC_ENTRIES, _GRAM_PAIRS, _GRAM_STARTS, _GRAM_SQUARE = _kern
 
 
 def _hardy_terms(x: np.ndarray, consts: np.ndarray, jacobian: bool) -> np.ndarray:
-    """The product-form residuals of an (m, 7) stack with its (m, 9)
-    _theta_terms rows, (m, 13); with jacobian, then J's nonzero entries
-    (_JAC_ENTRIES) and a zero, (m, 47): one set of cos/sin values, one gather
-    and one np.add.reduceat.  A row's bits do not depend on the stack."""
-    pairs = x.take(_ARG_IDX, axis=1)
-    args = pairs[:, 0] + _ARG_SIGN * pairs[:, 1]
-    t = np.concatenate([np.cos(args), np.sin(args), consts], axis=1)
-    f = t.take(_FACTORS if jacobian else _FACTORS[:, :_STARTS[13]], axis=1)
-    return np.add.reduceat(f[:, 0] * f[:, 1] * f[:, 2], _STARTS if jacobian else _STARTS[:13], axis=1)
+    """The product-form residuals of a (..., 7) stack with its (..., 9)
+    _theta_terms rows, (..., 13); with jacobian, then J's nonzero entries
+    (_JAC_ENTRIES) and a zero, (..., 47): one set of cos/sin values, one
+    gather and one np.add.reduceat.  A row's bits do not depend on the stack."""
+    pairs = x.take(_ARG_IDX, axis=-1)
+    args = pairs[..., 0, :] + _ARG_SIGN * pairs[..., 1, :]
+    t = np.concatenate([np.cos(args), np.sin(args), consts], axis=-1)
+    f = t.take(_FACTORS if jacobian else _FACTORS[:, :_STARTS[13]], axis=-1)
+    return np.add.reduceat(f[..., 0, :] * f[..., 1, :] * f[..., 2, :],
+                           _STARTS if jacobian else _STARTS[:13], axis=-1)
 
 
 def _product_residuals(x, theta) -> np.ndarray:
     """Product-form residuals for a (..., 7) stack of angle vectors (in
     ANGLE_NAMES order); returns (..., 13).  theta is a scalar or one value
     per row, broadcast against the stack's leading shape."""
-    lead = np.shape(x)[:-1]
-    consts = np.broadcast_to(_theta_terms(theta), lead + (9,)).reshape(-1, 9)
-    return _hardy_terms(np.reshape(x, (-1, 7)), consts, False).reshape(lead + (13,))
+    x = np.asarray(x, dtype=float)
+    return _hardy_terms(x, np.broadcast_to(_theta_terms(theta), x.shape[:-1] + (9,)), False)
 
 
 def _product_jacobian(x: np.ndarray, theta) -> np.ndarray:
