@@ -4,8 +4,8 @@ solver, and seeded hidden-orientation ensembles."""
 
 import importlib
 
-__all__ = ["cli", "compare", "ga3", "geometry", "identities", "lrmodel", "mcsim", "qmref", "report",
-           "sphere7"]
+__all__ = ["cli", "compare", "ga3", "geometry", "hardy_kernel", "identities", "lrmodel", "mcsim",
+           "qmref", "report", "sphere7"]
 
 __version__ = "0.1.0"
 

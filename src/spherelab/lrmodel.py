@@ -16,11 +16,10 @@ Contents:
   * singlet correlation -a.b and the CHSH string with its displayed
     2 sqrt(1 - (a x a').(b' x b)) bound,
   * the Hardy tilted-point construction: a seven-angle constraint system
-    solved as least squares by one batched Levenberg-Marquardt iteration
-    over quasi-random multi-starts (a theta grid is two such calls: every
-    point's starts, then restarts from each point's neighbours) on one real
-    kernel giving the residuals and their analytic J^T J and J^T r; joint
-    predictions from solved angles,
+    (spherelab.hardy_kernel) solved as least squares by one batched
+    Levenberg-Marquardt iteration over quasi-random multi-starts (a theta
+    grid is two such calls: every point's starts, then restarts from each
+    point's neighbours), joint predictions from solved angles,
   * three- and four-particle pipelines on S^7 in two modes: "pinned_z"
     evaluates the dot-product expansion with the postulated anisotropy
     vector Z = e3 * prod(n_iz); "table" evaluates the cross-product form
@@ -41,9 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qmref
+from . import hardy_kernel, qmref
 from .ga3 import Multivector3, product_chain
 from .geometry import require_unit, require_units, spherical_direction
+from .hardy_kernel import jacobian as _product_jacobian, residuals as _product_residuals  # noqa: F401
 from .report import ComparisonReport, ComparisonRow  # noqa: F401  (ComparisonRow re-exported)
 from .sphere7 import (
     CrossTable,
@@ -300,149 +300,6 @@ class HardyAngles:
         return self.residual_norm < tol
 
 
-def _theta_terms(theta) -> np.ndarray:
-    """The constant factor columns of the kernel's term table, as (..., 9)
-    for a theta of any shape: 1, -1, k, -k, 0, sin/s, -sin cos^2/s, -cos^3/s
-    and -cos/s, with k = cos(2 theta) as 1 - 2 sin^2 and s = sqrt(1 + cos^2).
-    Each distinct theta is worked in Python floats (numpy's vectorized power
-    can differ from libm's pow in the last bit), so a per-row theta gives
-    the bits of the scalar one.
-    """
-    if isinstance(theta, float):
-        return np.array(_scalar_theta_terms(theta))
-    theta = np.asarray(theta, dtype=float)
-    values, where = np.unique(theta, return_inverse=True)
-    table = np.array([_scalar_theta_terms(t) for t in values.tolist()])
-    return table[where].reshape(theta.shape + (9,))
-
-
-def _scalar_theta_terms(theta: float) -> tuple:
-    ct, st = math.cos(theta), math.sin(theta)
-    s = math.sqrt(1.0 + ct * ct)
-    k = 1.0 - 2.0 * st * st
-    return 1.0, -1.0, k, -k, 0.0, st / s, -(st * ct * ct / s), -(ct**3 / s), -(ct / s)
-
-
-# The 14 trig arguments x[_ARG_IDX[0]] + _ARG_SIGN * x[_ARG_IDX[1]]: the
-# angles (sign 0: x + 0 x is x), then alpha+beta, rho+nu, gamma+delta,
-# gamma-nu, rho-delta, alpha+eta and eta-beta.
-_ARG_IDX = np.array([[0, 1, 2, 3, 4, 5, 6, 0, 5, 2, 2, 5, 0, 4],
-                     [0, 1, 2, 3, 4, 5, 6, 1, 6, 3, 6, 3, 4, 1]])
-_ARG_SIGN = np.array([0.0] * 7 + [1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
-
-
-def _kernel_tables():
-    """Terms: every residual, then each nonzero d r_i / d x_j (entry i * 7 +
-    j), then a zero, as runs of terms (c, f, g) = t[c] * t[f] * t[g] over the
-    columns t of cos(args) (c_), sin(args) (s_) and _theta_terms, with c the
-    signed coefficient; a derivative term differentiates one trig factor (cos
-    -> -sin, sin -> cos, times the sign of x_j in it).  Gram: runs of products
-    of two outputs giving the upper triangle of [J | r]^T [J | r] (J^T J by
-    rows, J^T r, r^T r), and the index of each J^T J entry in it."""
-    args = "al be ga de et ro nu ab rn gd gn rd ae eb".split()
-    column = {f"{cs}_{a}": 14 * n + i for n, cs in enumerate("cs") for i, a in enumerate(args)}
-    column.update(zip("one minus k mk zero st stcc c3 ct".split(), range(28, 37)))
-    one, minus, k, mk, zero = range(28, 33)
-
-    def flat(runs):
-        return (np.array([term for run in runs for term in run]).T.copy(),
-                np.cumsum([0] + [len(run) for run in runs[:-1]]))
-
-    residuals = [[tuple(column[name] for name in term.split()) for term in line.split(",")]
-                 for line in """
-        one c_ga c_be, mk s_ga s_be
-        one c_al c_de, mk s_al s_de
-        one c_ab one, st one one
-        one c_rn one, one c_gd one, st one one
-        one c_gd one, stcc one one
-        one c_ro s_et, minus c_nu c_et, mk s_ro c_et, k s_nu s_et
-        one c_ga s_et, minus c_de c_et, mk s_de s_et, k s_ga c_et
-        one c_al c_nu, minus c_ro c_be, mk s_ro s_be, k s_al s_nu
-        minus c_ro s_et, one c_nu c_et, k s_ro c_et, mk s_nu s_et
-        one c_gn one, c3 one one
-        one c_rd one, c3 one one
-        one s_ae one, ct one one
-        one c_eb one, ct one one""".strip().splitlines()]
-    sign = np.zeros((14, 7))  # of x_j in each argument
-    sign[range(14), _ARG_IDX[0]] = 1.0
-    sign[range(7, 14), _ARG_IDX[1, 7:]] = _ARG_SIGN[7:]
-    negated = {one: minus, minus: one, k: mk, mk: k}
-
-    runs, entries = list(residuals), []
-    for i, terms in enumerate(residuals):
-        for j in range(7):
-            run = []
-            for c, *factors in terms:
-                for pos, f in enumerate(factors):
-                    d = sign[f % 14, j] if f < 28 else 0.0
-                    if d:
-                        swapped = list(factors)
-                        swapped[pos] = f + 14 if f < 14 else f - 14
-                        run.append((c if d * (-1 if f < 14 else 1) > 0 else negated[c], *swapped))
-            if run:
-                runs.append(run)
-                entries.append(i * 7 + j)
-    runs.append([(zero, one, one)])
-
-    g = {(i, 7): i for i in range(13)}  # the output holding G[i, a]
-    g.update({divmod(e, 7): 13 + n for n, e in enumerate(entries)})
-    outputs = [(a, b) for a in range(7) for b in range(a, 7)] + [(a, 7) for a in range(8)]
-    gram = [[(g[i, a], g[i, b]) for i in range(13) if (i, a) in g and (i, b) in g]
-            or [(len(runs) - 1,) * 2] for a, b in outputs]
-    square = [outputs.index((min(a, b), max(a, b))) for a in range(7) for b in range(7)]
-    return (*flat(runs), np.array(entries), *flat(gram), np.array(square))
-
-
-_FACTORS, _STARTS, _JAC_ENTRIES, _GRAM_PAIRS, _GRAM_STARTS, _GRAM_SQUARE = _kernel_tables()
-
-
-def _hardy_terms(x: np.ndarray, consts: np.ndarray, jacobian: bool) -> np.ndarray:
-    """The product-form residuals of a (..., 7) stack with its (..., 9)
-    _theta_terms rows, (..., 13); with jacobian, then J's nonzero entries
-    (_JAC_ENTRIES) and a zero, (..., 47): one set of cos/sin values, one
-    gather and one np.add.reduceat.  A row's bits do not depend on the stack."""
-    pairs = x.take(_ARG_IDX, axis=-1)
-    args = pairs[..., 0, :] + _ARG_SIGN * pairs[..., 1, :]
-    t = np.concatenate([np.cos(args), np.sin(args), consts], axis=-1)
-    f = t.take(_FACTORS if jacobian else _FACTORS[:, :_STARTS[13]], axis=-1)
-    return np.add.reduceat(f[..., 0, :] * f[..., 1, :] * f[..., 2, :],
-                           _STARTS if jacobian else _STARTS[:13], axis=-1)
-
-
-def _product_residuals(x, theta) -> np.ndarray:
-    """Product-form residuals for a (..., 7) stack of angle vectors (in
-    ANGLE_NAMES order); returns (..., 13).  theta is a scalar or one value
-    per row, broadcast against the stack's leading shape."""
-    x = np.asarray(x, dtype=float)
-    return _hardy_terms(x, np.broadcast_to(_theta_terms(theta), x.shape[:-1] + (9,)), False)
-
-
-def _product_jacobian(x: np.ndarray, theta) -> np.ndarray:
-    """(S, 13, 7) Jacobians of the product-form residuals at an (S, 7) stack;
-    theta is a scalar or one value per row."""
-    jac, consts = np.zeros((len(x), 91)), np.broadcast_to(_theta_terms(theta), (len(x), 9))
-    jac[:, _JAC_ENTRIES] = _hardy_terms(x, consts, True)[:, 13:-1]
-    return jac.reshape(-1, 13, 7)
-
-
-# Rows per _hardy_terms call, so a 608-row scan pass keeps the peak memory.
-_KERNEL_BLOCK_ROWS = 64
-
-
-def _hardy_kernel(x: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """The upper triangle of [J | r]^T [J | r], residuals r and Jacobian J,
-    at an (S, 7) stack with its (S, 9) _theta_terms rows, as (S, 36): J^T J
-    by rows (28; _GRAM_SQUARE gathers the 7x7), J^T r (7), then r^T r.  Per
-    64-row block, _hardy_terms gives r and J's nonzero entries, and the same
-    product-and-reduceat step over the Gram table gives the triangle."""
-    gram = np.empty((len(x), 36))
-    for lo in range(0, len(x), _KERNEL_BLOCK_ROWS):
-        rows = slice(lo, lo + _KERNEL_BLOCK_ROWS)
-        g = _hardy_terms(x[rows], consts[rows], True).take(_GRAM_PAIRS, axis=1)
-        gram[rows] = np.add.reduceat(g[:, 0] * g[:, 1], _GRAM_STARTS, axis=1)
-    return gram
-
-
 def hardy_residuals(angles: HardyAngles, form: str = "product") -> np.ndarray:
     """The 13 constraint residuals (LHS - RHS), one per scalar equality.
 
@@ -501,14 +358,14 @@ def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
 
     Damping (Marquardt-scaled by diag(J^T J)), acceptance and stopping are
     per start.  An iteration makes one np.linalg.solve call and one
-    _hardy_kernel call, at the trial points; an accepted start keeps the
-    trial's J^T J and J^T r.  A step is taken only when it lowers the cost,
-    so a finite start ends finite and a non-finite one never moves.  A start
-    stops at its own xtol/ftol/gtol test, a non-finite step or the cap.
-    """
+    hardy_kernel.gram_triangle call, at the trial points; an accepted start
+    keeps the trial's J^T J and J^T r.  A step is taken only when it lowers
+    the cost, so a finite start ends finite and a non-finite one never
+    moves.  A start stops at its own xtol/ftol/gtol test, a non-finite step
+    or the cap."""
     out = np.array(x0, dtype=float)
-    consts = np.broadcast_to(_theta_terms(theta), (len(out), 9))
-    gram = _hardy_kernel(out, consts)
+    consts = np.broadcast_to(hardy_kernel.theta_terms(theta), (len(out), 9))
+    gram = hardy_kernel.gram_triangle(out, consts)
     ids = np.flatnonzero(np.isfinite(gram[:, 35]))  # rows of `out` still iterating
     x, gram, consts = out[ids], gram[ids], consts[ids]
     scale, eye = np.zeros((len(ids), 7)), np.eye(7)
@@ -520,7 +377,7 @@ def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
         for _ in range(_LM_MAX_ITER):
             if not ids.size:
                 break
-            jtj = gram.take(_GRAM_SQUARE, axis=1).reshape(-1, 7, 7)
+            jtj = gram.take(hardy_kernel.GRAM_SQUARE, axis=1).reshape(-1, 7, 7)
             grad, cost = gram[:, 28:35], 0.5 * gram[:, 35]
             col_sq = np.diagonal(jtj, axis1=1, axis2=2)
             # Marquardt scaling, never shrinking (as MINPACK keeps its diag).
@@ -534,7 +391,7 @@ def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
             finite_step = np.isfinite(step).all(axis=1)
             step[~finite_step] = 0.0
             trial = x + step
-            gram_trial = _hardy_kernel(trial, consts)
+            gram_trial = hardy_kernel.gram_triangle(trial, consts)
             actual = cost - 0.5 * gram_trial[:, 35]
             predicted = 0.5 * np.einsum("si,si->s", step, lam_d * step - grad)
             # actual > 0 also rejects a non-finite trial cost.

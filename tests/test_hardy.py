@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spherelab import ga3, lrmodel, qmref
+from spherelab import ga3, hardy_kernel, lrmodel, qmref
 from spherelab.lrmodel import HardyAngles, RESIDUAL_LABELS
 
 RNG = np.random.default_rng(505)
@@ -366,7 +366,7 @@ def test_19_point_scan_certifies_only_theta_zero(seed):
 
 def test_solver_makes_one_kernel_call_per_iteration(monkeypatch):
     counts = {"kernel": 0, "solve": 0}
-    kernel, solve = lrmodel._hardy_kernel, lrmodel._batched_solve
+    kernel, solve = hardy_kernel.gram_triangle, lrmodel._batched_solve
 
     def counted(name, fn):
         def call(*args):
@@ -374,7 +374,7 @@ def test_solver_makes_one_kernel_call_per_iteration(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(lrmodel, "_hardy_kernel", counted("kernel", kernel))
+    monkeypatch.setattr(hardy_kernel, "gram_triangle", counted("kernel", kernel))
     monkeypatch.setattr(lrmodel, "_batched_solve", counted("solve", solve))
     lrmodel.solve_hardy(0.3, seed=3)
     # One call at the starts, then one per iteration (one solve each).
@@ -385,7 +385,7 @@ def test_kernel_and_solver_make_no_blas_call():
     # Matrix products go through the BLAS kernel, whose summation order
     # changes with the CPU; the residual kernel and the solver loop use none.
     banned = {"@", "dot", "vdot", "matmul", "inner", "_inner", "tensordot"}
-    for fn in (lrmodel._hardy_terms, lrmodel._hardy_kernel, lrmodel._solve_lm):
+    for fn in (hardy_kernel.terms, hardy_kernel.gram_triangle, lrmodel._solve_lm):
         tokens = tokenize.generate_tokens(io.StringIO(inspect.getsource(fn)).readline)
         used = {t.string for t in tokens if t.type in (tokenize.OP, tokenize.NAME)} & banned
         assert not used, (fn.__name__, used)
