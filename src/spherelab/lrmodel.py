@@ -43,7 +43,7 @@ import numpy as np
 from . import hardy_kernel, qmref
 from .ga3 import Multivector3, product_chain
 from .geometry import require_unit, require_units, spherical_direction
-from .hardy_kernel import jacobian as _product_jacobian, residuals as _product_residuals  # noqa: F401
+from .hardy_kernel import jacobian as _product_jacobian, residuals as _product_residuals  # noqa: F401  (re-exported)
 from .report import ComparisonReport, ComparisonRow  # noqa: F401  (ComparisonRow re-exported)
 from .sphere7 import (
     CrossTable,
