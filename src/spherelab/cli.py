@@ -352,6 +352,8 @@ def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
 
 def cmd_identities(args) -> int:
     tables = None if args.table in (None, "all") else [args.table]
+    if tables:
+        get_table(args.table)  # a ValueError for a table that does not exist, before any build
     report = identities.full_identity_report(samples=args.samples, seed=args.seed, tables=tables)
     return _emit(args, report)
 

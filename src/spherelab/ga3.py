@@ -19,6 +19,11 @@ Measurement-outcome bivectors ("beables") about a spatial direction n
 carry an orientation sign: the element with axis components
 orientation * n.  All values here are immutable and all operations are
 pure functions.
+
+_gp_components is the batched kernel, on (..., 8) component stacks;
+Multivector3 with geometric_product and product_chain is its one-element
+wrapper, and beable_product_point gives a pair's product point for stacks
+of directions.
 """
 
 from __future__ import annotations
@@ -92,10 +97,6 @@ class Multivector3:
         return cls.from_parts(s=s)
 
     @classmethod
-    def vector(cls, v) -> "Multivector3":
-        return cls.from_parts(v=v)
-
-    @classmethod
     def bivector(cls, b) -> "Multivector3":
         """Pure bivector with axis components b along (e2e3, e3e1, e1e2)."""
         return cls.from_parts(b=b)
@@ -116,32 +117,8 @@ class Multivector3:
     def t(self) -> float:
         return float(self.comps[7])
 
-    def norm2(self) -> float:
-        return float(np.dot(self.comps, self.comps))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.comps))
-
-    def is_even(self, tol: float = 0.0) -> bool:
-        """Vector and trivector parts vanish (grade {0, 2} element)."""
-        return bool(np.all(np.abs(self.comps[1:4]) <= tol) and abs(self.comps[7]) <= tol)
-
-    def __add__(self, other: "Multivector3") -> "Multivector3":
-        return Multivector3(self.comps + other.comps)
-
-    def __sub__(self, other: "Multivector3") -> "Multivector3":
-        return Multivector3(self.comps - other.comps)
-
-    def __neg__(self) -> "Multivector3":
-        return Multivector3(-self.comps)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector3):
-            return geometric_product(self, other)
-        return Multivector3(self.comps * float(other))
-
-    def __rmul__(self, other):
-        return Multivector3(self.comps * float(other))
 
     def allclose(self, other: "Multivector3", tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.comps - other.comps)) <= tol)
@@ -189,11 +166,6 @@ def product_chain(points: Sequence[Multivector3] | Iterable[Multivector3]) -> Mu
     if not points:
         raise ValueError("product_chain requires at least one element")
     return reduce(geometric_product, points)
-
-
-def commutator(x: Multivector3, y: Multivector3) -> Multivector3:
-    """xy - yx."""
-    return geometric_product(x, y) - geometric_product(y, x)
 
 
 def beable_product_point(u, v, orientation: int) -> tuple[float | np.ndarray, np.ndarray]:

@@ -47,14 +47,6 @@ def spherical_direction(theta: float, phi: float) -> np.ndarray:
     return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
-def polar_angles(n) -> tuple[float, float]:
-    """Inverse of spherical_direction (phi = 0 on the z axis)."""
-    n = require_unit(n)
-    theta = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
-    phi = float(np.arctan2(n[1], n[0]))
-    return theta, phi
-
-
 def coplanar_direction(t) -> np.ndarray:
     """Unit vector at angle t from z in the x-z plane; the plane used for CHSH sweeps.
 

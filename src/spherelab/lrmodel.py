@@ -26,7 +26,8 @@ Contents:
     directly under a concrete multiplication table (the two agree with the
     generalized Lagrange identity by construction; their mutual residual
     is reported, never asserted),
-  * the canonical f/g/N decomposition of grouped products of beables.
+  * the product point (f, N) of each experiment, which spherelab.mcsim
+    averages over the orientation ensemble.
 
 Comparison results are collected into column-backed ComparisonReports
 (spherelab.report).
@@ -41,95 +42,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hardy_kernel, qmref
-from .ga3 import Multivector3, product_chain
 from .geometry import require_unit, require_units, spherical_direction
-from .hardy_kernel import jacobian as _product_jacobian, residuals as _product_residuals  # noqa: F401  (re-exported)
-from .report import ComparisonReport, ComparisonRow  # noqa: F401  (ComparisonRow re-exported)
-from .sphere7 import (
-    CrossTable,
-    SevenPoint,
-    cross7,
-    embed_ghz3,
-    embed_ghz4,
-    get_table,
-    oct_product,
-    z_deviation,
-)
+from .report import ComparisonReport
+from .sphere7 import CrossTable, cross7, embed_ghz3, embed_ghz4, get_table, z_deviation
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
-# ---------------------------------------------------------------------------
-# canonical decomposition
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Split of a product point into scalar f, oriented magnitude g = |N|,
-    and the oriented vector N (bivector axis for S^3, 7-vector for S^7).
+    """A product point split into its scalar f and its oriented vector N
+    (bivector axis for S^3, 7-vector for S^7), with magnitude g = |N|.
 
     At orientation s the point's oriented components are s * oriented; the
     scalar is s-independent.
     """
 
     f: float
-    g: float
     oriented: np.ndarray
-    space: str
 
     def __post_init__(self):
         arr = np.array(self.oriented, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "oriented", arr)
         object.__setattr__(self, "f", float(self.f))
-        object.__setattr__(self, "g", float(self.g))
 
-    def reconstruct(self, orientation: int = 1) -> tuple[float, np.ndarray]:
-        """(scalar, oriented components) of the point at the given orientation."""
-        return self.f, orientation * self.oriented
-
-
-def _grouped_product7(points: list, table: CrossTable | None) -> SevenPoint:
-    # Non-associative product: pair up first, as the model evaluates them.
-    if len(points) == 1:
-        return points[0]
-    if len(points) == 2:
-        return oct_product(points[0], points[1], table)
-    if len(points) == 3:
-        return oct_product(oct_product(points[0], points[1], table), points[2], table)
-    if len(points) == 4:
-        left = oct_product(points[0], points[1], table)
-        right = oct_product(points[2], points[3], table)
-        return oct_product(left, right, table)
-    raise ValueError(f"grouped products support 1..4 points, got {len(points)}")
-
-
-def canonical_decomposition(beables, space: str, table: CrossTable | None = None) -> DecompositionResult:
-    """Decompose the grouped product of S^3 or S^7 elements into (f, g, N).
-
-    S^3 input: Multivector3 values (even-grade; the product of bivectors
-    stays even).  S^7 input: SevenPoint values, multiplied pairwise-first
-    because the product is grouping-sensitive.
-    """
-    beables = list(beables)
-    if not beables:
-        raise ValueError("need at least one element")
-    if space == "S3":
-        if not all(isinstance(p, Multivector3) for p in beables):
-            raise TypeError("S3 decomposition takes Multivector3 elements only")
-        prod = product_chain(beables)
-        odd = max(np.max(np.abs(prod.v)), abs(prod.t))
-        if odd > 1e-9:
-            raise ValueError(f"product has odd-grade residue {odd!r}; not a 3-sphere point")
-        oriented = prod.b
-        return DecompositionResult(prod.s, float(np.linalg.norm(oriented)), oriented, "S3")
-    if space == "S7":
-        if not all(isinstance(p, SevenPoint) for p in beables):
-            raise TypeError("S7 decomposition takes SevenPoint elements only")
-        prod = _grouped_product7(beables, table)
-        return DecompositionResult(prod.a, float(np.linalg.norm(prod.x)), prod.x, "S7")
-    raise ValueError(f"space must be 'S3' or 'S7', got {space!r}")
+    @property
+    def g(self) -> float:
+        return float(np.linalg.norm(self.oriented))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +96,7 @@ def singlet_correlation(a, b) -> float:
 
 def singlet_product_point(a, b) -> DecompositionResult:
     oriented = -np.cross(require_unit(a), require_unit(b))
-    return DecompositionResult(singlet_correlation(a, b), float(np.linalg.norm(oriented)),
-                               oriented, "S3")
+    return DecompositionResult(singlet_correlation(a, b), oriented)
 
 
 def chsh_models(a, ap, b, bp) -> np.ndarray:
@@ -176,7 +115,7 @@ def chsh_product_point(a, ap, b, bp) -> DecompositionResult:
     oriented parts combined with the same +,+,+,- signs)."""
     a, ap, b, bp = (require_unit(v) for v in (a, ap, b, bp))
     oriented = -np.cross(a, b) - np.cross(a, bp) - np.cross(ap, b) + np.cross(ap, bp)
-    return DecompositionResult(chsh_model(a, ap, b, bp), float(np.linalg.norm(oriented)), oriented, "S3")
+    return DecompositionResult(chsh_model(a, ap, b, bp), oriented)
 
 
 def chsh_model_bound(a, ap, b, bp) -> float:
@@ -262,10 +201,6 @@ RESIDUAL_LABELS = (
 HEADLINE_HARDY_PAIRS = (("a'+", "b+"), ("a+", "b'+"), ("a-", "b-"), ("a'+", "b'+"))
 
 
-class HardyPoleError(ArithmeticError):
-    """A ratio-form residual hit a vanishing denominator (cotangent pole)."""
-
-
 class HardySolverError(RuntimeError):
     """Every solver start diverged; carries the best iterate found."""
 
@@ -300,38 +235,12 @@ class HardyAngles:
         return self.residual_norm < tol
 
 
-def hardy_residuals(angles: HardyAngles, form: str = "product") -> np.ndarray:
-    """The 13 constraint residuals (LHS - RHS), one per scalar equality.
-
-    form="product": cotangent and ratio constraints cross-multiplied into
-    polynomial-in-trig form (identical zero set, no poles); this is the
-    form the solver minimizes and the one residual_norm certifies.  It is
-    one row of the _product_residuals kernel.
-    form="ratio": the printed quotients (cotangent products and ratios);
-    raises HardyPoleError when a denominator (a sine entering a cotangent,
-    or a ratio denominator) falls below 1e-12 in magnitude.
-    """
-    if form not in ("product", "ratio"):
-        raise ValueError(f"form must be 'product' or 'ratio', got {form!r}")
-    r = _product_residuals(angles.as_array(), angles.theta)
-    if form == "product":
-        return r
-    al, be, ga, de, et, ro, nu = angles.as_array().tolist()
-    cos, sin = math.cos, math.sin
-    dens = {
-        "sin(gamma)": sin(ga), "sin(beta)": sin(be), "sin(alpha)": sin(al), "sin(delta)": sin(de),
-        "ratio_rho_nu_eta denominator": sin(ro) * cos(et) - sin(nu) * sin(et),
-        "ratio_gamma_delta_eta denominator": sin(de) * sin(et) - sin(ga) * cos(et),
-        "ratio_alpha_nu_rho_beta denominator": sin(ro) * sin(be) - sin(al) * sin(nu),
-    }
-    for name, val in dens.items():
-        if abs(val) < 1e-12:
-            raise HardyPoleError(f"{name} vanishes; ratio-form residual undefined")
-    # Each quotient row is its product row divided back by the denominators
-    # it was cross-multiplied with; the sin/cos-sum rows are shared.
-    s_ga, s_be, s_al, s_de, rne, gde, anrb = dens.values()
-    r[[0, 1, 5, 6, 7, 8]] /= (s_ga * s_be, s_al * s_de, rne, gde, anrb, rne)
-    return r
+def hardy_residuals(angles: HardyAngles) -> np.ndarray:
+    """The 13 constraint residuals (LHS - RHS) at the angles, one per scalar
+    equality: the cotangent and ratio constraints cross-multiplied into
+    polynomial-in-trig form (no poles), as the solver minimizes them and
+    residual_norm certifies them. One row of hardy_kernel.residuals."""
+    return hardy_kernel.residuals(angles.as_array(), angles.theta)
 
 
 def _wrap_angles(x: np.ndarray) -> np.ndarray:
@@ -514,7 +423,7 @@ def solve_hardy(theta: float, init: HardyAngles | None = None, *, starts: int = 
         x0s = np.vstack([init.as_array(), x0s])
 
     xs = _wrap_angles(_solve_lm(x0s, theta))
-    norms = np.linalg.norm(_product_residuals(xs, theta), axis=1)
+    norms = np.linalg.norm(hardy_kernel.residuals(xs, theta), axis=1)
     near = _near_best(norms)
     if not near.any():
         best = HardyAngles(theta, *_wrap_angles(x0s[0]).tolist()).with_residual()
@@ -580,7 +489,7 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
     def run(owner: np.ndarray, x0: np.ndarray):
         theta = thetas[owner]
         xs = _wrap_angles(_solve_lm(x0, theta))
-        norms = np.linalg.norm(_product_residuals(xs, theta), axis=1)
+        norms = np.linalg.norm(hardy_kernel.residuals(xs, theta), axis=1)
         for i in dict.fromkeys(owner.tolist()):  # np.unique would load numpy.ma
             mine = owner == i
             near, near_norms, diverged, total = found[i]
@@ -684,7 +593,7 @@ def hardy_point(
     c2, s2, v = _tilt_components(angles, pair[1], swapped_b_minus)
     f = c1 * c2 - s1 * s2 * float(np.dot(u, v))
     oriented = c2 * s1 * u + c1 * s2 * v - s1 * s2 * np.cross(u, v)
-    return DecompositionResult(f, float(np.linalg.norm(oriented)), oriented, "S3")
+    return DecompositionResult(f, oriented)
 
 
 def hardy_report(
@@ -765,7 +674,7 @@ def ghz_report(prefix: str, oracle, values, tol: float, meta: dict,
 
 def _ghz_point(embedded, table) -> DecompositionResult:
     _, f, _, oriented = ghz_kernel(np.stack(embedded), 0.0, table)
-    return DecompositionResult(f, float(np.linalg.norm(oriented)), oriented, "S7")
+    return DecompositionResult(f, oriented)
 
 
 def ghz4_product_point(n1, n2, n3, n4, table: CrossTable | None = None) -> DecompositionResult:

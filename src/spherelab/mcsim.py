@@ -121,7 +121,8 @@ class PlusMinusDistribution:
 
 
 class LambdaStream:
-    """Counter-based orientation stream: sample(i) depends only on (seed, i)."""
+    """Counter-based orientation stream: the draw of trial i depends only on
+    (seed, i)."""
 
     def __init__(self, seed: int, distribution: PlusMinusDistribution | None = None):
         self.seed = int(seed)
@@ -130,9 +131,6 @@ class LambdaStream:
     def sample_block(self, start: int, stop: int) -> np.ndarray:
         plus = _counter_bits(self.seed, start, stop) < _threshold(self.distribution.weight_plus)
         return np.where(plus, np.int8(1), np.int8(-1))
-
-    def sample(self, index: int) -> int:
-        return int(self.sample_block(index, index + 1)[0])
 
 
 # ---------------------------------------------------------------------------

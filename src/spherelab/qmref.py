@@ -18,12 +18,12 @@ n = (sin t cos p, sin t sin p, cos t), which gives
 States implemented: the two-particle singlet, the one-parameter Hardy
 state, and the three- and four-particle GHZ states, all written in the
 z basis with the amplitudes exactly as conventionally printed (no
-re-phasing: amplitude-level checks are used, not just probabilities).
+re-phasing: amplitude-level checks are used, not just probabilities);
+general_state takes any normalized amplitude vector.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +60,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def to_json(self) -> str:
-        pairs = [[z.real, z.imag] for z in self.amplitudes]
-        return json.dumps({"n_qubits": self.n_qubits, "amplitudes": pairs})
-
-    @classmethod
-    def from_json(cls, doc: str) -> "StateVector":
-        data = json.loads(doc)
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(int(data["n_qubits"]), amps)
-
 
 @dataclass(frozen=True)
 class SpinObservable:
@@ -90,13 +80,6 @@ class SpinObservable:
         for n in self.directions:
             m = np.kron(m, spin_matrix(n))
         return m
-
-    def to_json(self) -> str:
-        return json.dumps({"directions": [list(n) for n in self.directions]})
-
-    @classmethod
-    def from_json(cls, doc: str) -> "SpinObservable":
-        return cls(tuple(np.asarray(d, float) for d in json.loads(doc)["directions"]))
 
 
 def spin_matrix(n) -> np.ndarray:
@@ -150,21 +133,6 @@ def general_state(amplitudes) -> StateVector:
     if 2**n != amps.size:
         raise ValueError(f"amplitude count {amps.size} is not a power of two")
     return StateVector(n, amps)
-
-
-def make_state(kind: str, **params) -> StateVector:
-    """Dispatcher: singlet | hardy(theta) | ghz4 | ghz3(alpha, delta) | general(amplitudes)."""
-    if kind == "singlet":
-        return singlet_state()
-    if kind == "hardy":
-        return hardy_state(params["theta"])
-    if kind == "ghz4":
-        return ghz4_state()
-    if kind == "ghz3":
-        return ghz3_state(params["alpha"], params["delta"])
-    if kind == "general":
-        return general_state(params["amplitudes"])
-    raise ValueError(f"unknown state kind {kind!r}")
 
 
 # Rows are sigma_x, sigma_y, sigma_z flattened, so n @ _PAULI is sigma . n

@@ -105,9 +105,6 @@ class ComparisonReport:
     def mismatches(self) -> list:
         return [row for row in self.rows if row.verdict == "mismatch"]
 
-    def max_abs_residual(self) -> float:
-        return float(np.max(np.abs(self.residual), initial=0.0))
-
     def _text_chunks(self, json_form: bool):
         """The six columns as text, CHUNK_ROWS rows at a time; in json_form the
         labels are JSON string literals."""

@@ -42,13 +42,11 @@ thin wrappers over the same kernels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .geometry import require_orientation, require_unit, require_units
+from .geometry import require_units
 
 # Cyclic convention (i, i+1, i+3) mod 7: e1 x e2 = e4, etc.
 DEFAULT_TRIPLES = (
@@ -64,7 +62,8 @@ DEFAULT_TRIPLES = (
 
 @dataclass(frozen=True)
 class CrossTable:
-    """Structure constants f_ijk for e_i x e_j = sum_k f_ijk e_k.
+    """The cross product e_i x e_j = sum_k f_ijk e_k of a structure-constant
+    table f, held as the signed scatter of the 21 index pairs.
 
     Built from 7 signed triples (1-based indices; a negative third entry k
     means e_i x e_j = -e_|k|).  Total antisymmetry is imposed on each
@@ -76,13 +75,11 @@ class CrossTable:
 
     table_id: str
     triples: tuple[tuple[int, int, int], ...]
-    _f: np.ndarray = field(init=False, repr=False, compare=False)
     _ii: np.ndarray = field(init=False, repr=False, compare=False)
     _jj: np.ndarray = field(init=False, repr=False, compare=False)
     _scatter: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        f = np.zeros((7, 7, 7))
         seen_pairs = set()
         ii, jj, kk, signs = [], [], [], []
         for i, j, k in self.triples:
@@ -95,8 +92,6 @@ class CrossTable:
                 if pair in seen_pairs:
                     raise ValueError(f"index pair {sorted(p + 1 for p in pair)} covered twice")
                 seen_pairs.add(pair)
-                f[a, b, c] = sign
-                f[b, a, c] = -sign
                 ii.append(a)
                 jj.append(b)
                 kk.append(c)
@@ -107,28 +102,12 @@ class CrossTable:
         scatter = np.zeros((21, 7))
         scatter[np.arange(21), kk] = signs
         for name, value in (
-            ("_f", f),
             ("_ii", np.array(ii)),
             ("_jj", np.array(jj)),
             ("_scatter", scatter),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    def structure_constants(self) -> np.ndarray:
-        return self._f
-
-    def to_json(self) -> str:
-        return json.dumps({"id": self.table_id, "triples": [list(t) for t in self.triples]})
-
-    @classmethod
-    def from_json(cls, doc: str) -> "CrossTable":
-        data = json.loads(doc)
-        return cls(data["id"], tuple(tuple(int(x) for x in t) for t in data["triples"]))
-
-    @classmethod
-    def from_file(cls, path) -> "CrossTable":
-        return cls.from_json(Path(path).read_text())
 
 
 DEFAULT_TABLE = CrossTable("cyclic-124", DEFAULT_TRIPLES)
@@ -203,18 +182,6 @@ class SevenPoint:
         """The (8,) component array (a, x1, ..., x7)."""
         return np.concatenate(([self.a], self.x))
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.a**2 + np.dot(self.x, self.x)))
-
-    def allclose(self, other: "SevenPoint", tol: float = 1e-12) -> bool:
-        return abs(self.a - other.a) <= tol and bool(np.max(np.abs(self.x - other.x)) <= tol)
-
-    def __repr__(self) -> str:
-        return f"SevenPoint(a={self.a:.6g}, x={np.array2string(self.x, precision=6)})"
-
-
-IDENTITY7 = SevenPoint(1.0, np.zeros(7))
-
 
 def _oct_components(p, q, table: CrossTable | None = None) -> np.ndarray:
     """(a, X)(b, Y) = (ab - X.Y, aY + bX - X x Y) on raw (..., 8) component
@@ -229,13 +196,6 @@ def oct_product(p: SevenPoint, q: SevenPoint, table: CrossTable | None = None) -
     """(a, X)(b, Y) = (ab - X.Y, aY + bX - X x Y); unit inputs give a unit output."""
     out = _oct_components(p.components(), q.components(), table)
     return SevenPoint(out[0], out[1:])
-
-
-def beable7(n, orientation: int) -> SevenPoint:
-    """Pure-vector unit point (0, orientation * N) about direction N."""
-    n = require_unit(n, dim=7, name="7D direction", tol=1e-9)
-    orientation = require_orientation(orientation)
-    return SevenPoint(0.0, orientation * n)
 
 
 def z_deviation(n2, n3, n4, table: CrossTable | None = None) -> np.ndarray:

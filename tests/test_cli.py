@@ -15,9 +15,8 @@ from collections.abc import Iterator
 import pytest
 
 import spherelab.report
-from spherelab import cli, compare, lrmodel, mcsim
-from spherelab.lrmodel import ComparisonReport
-from spherelab.report import CHUNK_ROWS
+from spherelab import cli, compare, identities, lrmodel, mcsim
+from spherelab.report import CHUNK_ROWS, ComparisonReport, ComparisonRow
 
 
 def run_cli(*argv):
@@ -31,7 +30,7 @@ def test_compare_singlet_exits_zero(tmp_path, capsys):
     assert code == 0
     report = ComparisonReport.from_json(out.read_text())
     assert len(report.rows) == 1000
-    assert report.max_abs_residual() < 1e-12
+    assert max(abs(row.residual) for row in report.rows) < 1e-12
 
 
 def test_compare_artifact_is_byte_identical(tmp_path):
@@ -517,6 +516,19 @@ def test_compare_unknown_table_exits_two_before_any_build(state, strict, tmp_pat
     assert not out.exists()
 
 
+def test_identities_unknown_table_exits_two_before_any_build(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("no identity suite may run for an unknown table")
+
+    for name in ("ga3_identity_report", "sphere7_identity_report", "chsh_sweep_report"):
+        monkeypatch.setattr(identities, name, never)
+    out = tmp_path / "never.json"
+    assert run_cli("identities", "--samples", "5", "--table", "bogus", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown cross table 'bogus'") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solve_hardy_unparsable_grid_names_the_flag(capsys):
     assert run_cli("solve-hardy", "--theta-grid", "0:90:x", "--unit", "deg") == 2
     err = capsys.readouterr().err
@@ -905,7 +917,7 @@ def test_non_finite_angle_from_config_exits_two(tmp_path, capsys):
 
 def _row(label, residual, tolerance):
     verdict = "match" if abs(residual) <= tolerance else "mismatch"
-    return lrmodel.ComparisonRow(label, residual, 0.0, residual, tolerance, verdict)
+    return ComparisonRow(label, residual, 0.0, residual, tolerance, verdict)
 
 
 def _emit(rows, strict_table=False, tolerances=compare.DEFAULT_TOLERANCES):

@@ -71,26 +71,6 @@ def test_first_constraint_at_symmetric_point():
     # gamma = beta = pi/4 at theta = 0: cot(pi/4)cot(pi/4) - 1 = 0.
     angles = HardyAngles(0.0, 0.1, np.pi / 4, np.pi / 4, 0.2, 0.3, 0.4, 0.5)
     assert lrmodel.hardy_residuals(angles)[0] == pytest.approx(0.0, abs=1e-15)
-    assert lrmodel.hardy_residuals(angles, form="ratio")[0] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_product_and_ratio_forms_share_zero_set():
-    # Away from poles the two forms agree after weighting by denominators.
-    angles = HardyAngles(0.3, 0.9, 0.7, 1.1, 0.6, 0.8, 1.2, 0.5)
-    prod = lrmodel.hardy_residuals(angles, form="product")
-    ratio = lrmodel.hardy_residuals(angles, form="ratio")
-    assert prod[0] == pytest.approx(ratio[0] * math.sin(angles.gamma) * math.sin(angles.beta), abs=1e-12)
-    # sin/cos-sum residuals are identical in both forms
-    for i in (2, 3, 4, 9, 10, 11, 12):
-        assert prod[i] == ratio[i]
-
-
-def test_ratio_form_raises_at_poles():
-    angles = HardyAngles(0.3, 0.9, 0.7, 0.0, 0.6, 0.8, 1.2, 0.5)  # gamma = 0
-    with pytest.raises(lrmodel.HardyPoleError):
-        lrmodel.hardy_residuals(angles, form="ratio")
-    with pytest.raises(ValueError):
-        lrmodel.hardy_residuals(angles, form="bogus")
 
 
 def test_residual_norm_self_consistency():
@@ -212,7 +192,7 @@ def test_residual_kernel_stack_matches_rows_bit_for_bit():
     # in [-4, 4]; the kernel takes one theta per call.
     for theta in RNG.uniform(0.0, math.pi / 2, 100):
         x = RNG.uniform(-4.0, 4.0, (100, 7))
-        stack = lrmodel._product_residuals(x, theta)
+        stack = hardy_kernel.residuals(x, theta)
         rows = np.array([lrmodel.hardy_residuals(HardyAngles(theta, *row)) for row in x])
         assert stack.shape == (100, 13)
         assert np.array_equal(stack, rows)
@@ -223,12 +203,12 @@ def test_residual_kernel_stack_matches_rows_bit_for_bit():
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
 def test_complex_step_jacobian_matches_central_differences(theta):
     x = RNG.uniform(-4.0, 4.0, (50, 7))
-    jac = lrmodel._product_jacobian(x, theta)
+    jac = hardy_kernel.jacobian(x, theta)
     assert jac.shape == (50, 13, 7)
     h = 1e-6
     central = np.stack(
         [
-            (lrmodel._product_residuals(x + h * e, theta) - lrmodel._product_residuals(x - h * e, theta))
+            (hardy_kernel.residuals(x + h * e, theta) - hardy_kernel.residuals(x - h * e, theta))
             / (2 * h)
             for e in np.eye(7)
         ],
@@ -323,22 +303,22 @@ def test_per_row_theta_kernels_match_scalar_theta_bit_for_bit():
     # give the bits of 19 scalar-theta calls.
     thetas = np.linspace(0.0, math.pi / 2, 19)
     x = RNG.uniform(-4.0, 4.0, (19, 50, 7))
-    per_row = lrmodel._product_residuals(x.reshape(-1, 7), np.repeat(thetas, 50))
-    scalar = np.concatenate([lrmodel._product_residuals(xi, t) for xi, t in zip(x, thetas)])
+    per_row = hardy_kernel.residuals(x.reshape(-1, 7), np.repeat(thetas, 50))
+    scalar = np.concatenate([hardy_kernel.residuals(xi, t) for xi, t in zip(x, thetas)])
     assert np.array_equal(per_row, scalar)
     x = x[:, :40]
-    per_row = lrmodel._product_jacobian(x.reshape(-1, 7), np.repeat(thetas, 40))
-    scalar = np.concatenate([lrmodel._product_jacobian(xi, t) for xi, t in zip(x, thetas)])
+    per_row = hardy_kernel.jacobian(x.reshape(-1, 7), np.repeat(thetas, 40))
+    scalar = np.concatenate([hardy_kernel.jacobian(xi, t) for xi, t in zip(x, thetas)])
     assert per_row.shape == (760, 13, 7) and np.array_equal(per_row, scalar)
 
 
 def test_per_row_theta_broadcasts_against_the_leading_shape():
     thetas = RNG.uniform(0.0, math.pi / 2, (3, 4))
     x = RNG.uniform(-4.0, 4.0, (3, 4, 7))
-    stack = lrmodel._product_residuals(x, thetas)
+    stack = hardy_kernel.residuals(x, thetas)
     assert stack.shape == (3, 4, 13)
     for i, j in np.ndindex(3, 4):
-        assert np.array_equal(stack[i, j], lrmodel._product_residuals(x[i, j], thetas[i, j]))
+        assert np.array_equal(stack[i, j], hardy_kernel.residuals(x[i, j], thetas[i, j]))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7])
@@ -350,7 +330,7 @@ def test_jacobian_matches_a_complex_step_of_the_reference(theta):
     steps = 1j * h * np.eye(7)
     want = np.array([[_reference_product_residuals(theta, row + e, cmath).imag / h for e in steps]
                      for row in x.astype(complex)])
-    assert np.max(np.abs(lrmodel._product_jacobian(x, theta) - np.swapaxes(want, 1, 2))) <= 1e-14
+    assert np.max(np.abs(hardy_kernel.jacobian(x, theta) - np.swapaxes(want, 1, 2))) <= 1e-14
 
 
 HARDY_GRID_0_90_19 = np.linspace(0.0, math.pi / 2, 19)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spherelab import identities
-from spherelab.geometry import polar_angles, spherical_direction, to_radians
+from spherelab.geometry import spherical_direction, to_radians
 
 
 def test_ga3_suite_is_clean():
@@ -54,9 +54,8 @@ def test_geometry_helpers():
     with pytest.raises(ValueError):
         to_radians([1.0], "grad")
     n = spherical_direction(0.7, 1.9)
-    theta, phi = polar_angles(n)
-    assert theta == pytest.approx(0.7, abs=1e-12)
-    assert phi == pytest.approx(1.9, abs=1e-12)
+    assert n == pytest.approx([np.sin(0.7) * np.cos(1.9), np.sin(0.7) * np.sin(1.9), np.cos(0.7)])
+    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_require_units_checks_every_row():

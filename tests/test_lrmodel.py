@@ -1,5 +1,5 @@
-"""Model evaluator checks: singlet, CHSH string and bound, GHZ pipelines,
-canonical decomposition."""
+"""Model evaluator checks: singlet, CHSH string and bound, GHZ pipelines and
+their product points."""
 
 import math
 
@@ -9,6 +9,7 @@ import pytest
 from spherelab import ga3, lrmodel, qmref, sphere7
 from spherelab.geometry import coplanar_direction, random_unit_vectors, spherical_direction
 from spherelab.lrmodel import TWO_SQRT2
+from spherelab.report import ComparisonReport
 
 RNG = np.random.default_rng(404)
 
@@ -41,12 +42,11 @@ def test_singlet_product_point_matches_kernel_product():
         assert np.allclose(point.oriented, raw.b, atol=1e-15)
         sin_ab = float(np.linalg.norm(np.cross(a, b)))
         assert point.g == pytest.approx(sin_ab, abs=1e-14)
-        # handed reconstruction at both orientations
+        # the handed point at both orientations
         for orientation in (1, -1):
-            f, w = point.reconstruct(orientation)
             ff, ww = ga3.beable_product_point(a, b, orientation)
-            assert f == pytest.approx(ff, abs=1e-15)
-            assert np.allclose(w, ww, atol=1e-15)
+            assert point.f == pytest.approx(ff, abs=1e-15)
+            assert np.allclose(orientation * point.oriented, ww, atol=1e-15)
 
 
 def test_chsh_model_known_quadruples():
@@ -101,89 +101,6 @@ def test_scan_chsh_supremum():
     assert sweep["max_abs_value"] <= TWO_SQRT2 + 1e-12
     with pytest.raises(ValueError):
         lrmodel.scan_chsh(2)
-
-
-# ---------------------------------------------------------------------------
-# canonical decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_decomposition_singlet_pair():
-    for _ in range(100):
-        a, b = random_unit_vectors(RNG, 2)
-        dec = lrmodel.canonical_decomposition(
-            [ga3.bivector_beable(a, 1), ga3.bivector_beable(b, 1)], "S3"
-        )
-        assert dec.f == pytest.approx(-float(np.dot(a, b)), abs=1e-14)
-        assert dec.g == pytest.approx(float(np.linalg.norm(np.cross(a, b))), abs=1e-14)
-        # oriented axis is (anti)parallel to a x b
-        cross = np.cross(a, b)
-        assert np.allclose(dec.oriented, -cross, atol=1e-14)
-
-
-def test_decomposition_single_beable():
-    n = random_unit_vectors(RNG, 1)[0]
-    for orientation in (1, -1):
-        dec = lrmodel.canonical_decomposition([ga3.bivector_beable(n, orientation)], "S3")
-        assert dec.f == 0.0
-        assert dec.g == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(dec.oriented, orientation * n, atol=0.0)
-
-
-def test_decomposition_reconstruction_invariant():
-    # 1e4 random inputs across the two spaces.
-    # S3: products of random unit even-grade elements.
-    for _ in range(5000):
-        comps = np.zeros((3, 8))
-        comps[:, 0] = RNG.uniform(-1, 1, 3)
-        comps[:, 4:7] = RNG.uniform(-1, 1, (3, 3))
-        comps /= np.linalg.norm(comps, axis=1, keepdims=True)
-        elements = [ga3.Multivector3(c) for c in comps]
-        dec = lrmodel.canonical_decomposition(elements, "S3")
-        prod = ga3.product_chain(elements)
-        f, w = dec.reconstruct(1)
-        assert f == pytest.approx(prod.s, abs=1e-12)
-        assert np.allclose(w, prod.b, atol=1e-12)
-        assert dec.g == pytest.approx(float(np.linalg.norm(prod.b)), abs=1e-12)
-    # S7: grouped products of random unit points.
-    for n_points in (1, 2, 3, 4):
-        for _ in range(1250):
-            pts = RNG.standard_normal((n_points, 8))
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            elements = [sphere7.SevenPoint(p[0], p[1:]) for p in pts]
-            dec = lrmodel.canonical_decomposition(elements, "S7")
-            assert abs(dec.f**2 + dec.g**2 - 1.0) < 1e-12  # unit closure
-            f, w = dec.reconstruct(1)
-            assert abs(f - dec.f) == 0.0 and np.array_equal(w, dec.oriented)
-
-
-def test_decomposition_ghz4_matches_table_mode():
-    for _ in range(50):
-        dirs = random_unit_vectors(RNG, 4)
-        embedded = sphere7.embed_ghz4(*dirs)
-        beables = [sphere7.beable7(v, 1) for v in embedded]
-        dec = lrmodel.canonical_decomposition(beables, "S7")
-        value, _ = lrmodel.ghz4_model(*dirs, mode="table")
-        assert dec.f == pytest.approx(value, abs=1e-12)
-        point = lrmodel.ghz4_product_point(*dirs)
-        assert dec.f == pytest.approx(point.f, abs=1e-14)
-        assert np.allclose(dec.oriented, point.oriented, atol=1e-12)
-
-
-def test_decomposition_rejects_bad_inputs():
-    n = random_unit_vectors(RNG, 1)[0]
-    beable3 = ga3.bivector_beable(n, 1)
-    beable7 = sphere7.beable7(sphere7.embed_ghz4(n, n, n, n)[0], 1)
-    with pytest.raises(TypeError):
-        lrmodel.canonical_decomposition([beable3, beable7], "S3")
-    with pytest.raises(TypeError):
-        lrmodel.canonical_decomposition([beable3], "S7")
-    with pytest.raises(ValueError):
-        lrmodel.canonical_decomposition([], "S3")
-    with pytest.raises(ValueError):
-        lrmodel.canonical_decomposition([beable3], "S2")
-    with pytest.raises(ValueError):
-        lrmodel.canonical_decomposition([ga3.Multivector3.vector(n)], "S3")
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +184,42 @@ def test_ghz_mode_validation():
 
 def test_comparison_report_round_trips():
     _, report = lrmodel.ghz4_model(*random_unit_vectors(RNG, 4))
-    back = lrmodel.ComparisonReport.from_json(report.to_json())
+    back = ComparisonReport.from_json(report.to_json())
     assert back.rows == report.rows
     assert back.meta == report.meta
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0] == "label,model,oracle,residual,tolerance,verdict"
     assert len(csv_text.splitlines()) == len(report.rows) + 1
-    empty = lrmodel.ComparisonReport([])
+    empty = ComparisonReport([])
     assert empty.to_csv() == "label,model,oracle,residual,tolerance,verdict\n"
-    assert empty.max_abs_residual() == 0.0
 
 
-def test_decomposition_ghz3_matches_table_mode():
-    # The grouped point-product route (reference point prepended) agrees with
-    # the explicit pipeline formulas, scalar and oriented parts alike.
-    for _ in range(50):
-        dirs = random_unit_vectors(RNG, 3)
-        alpha, delta = RNG.uniform(0, np.pi), RNG.uniform(0, 2 * np.pi)
-        embedded = sphere7.embed_ghz3(*dirs, alpha, delta)
-        beables = [sphere7.beable7(v, 1) for v in embedded]
-        dec = lrmodel.canonical_decomposition(beables, "S7")
-        value, _ = lrmodel.ghz3_model(*dirs, alpha, delta, mode="table")
-        assert dec.f == pytest.approx(value, abs=1e-12)
-        point = lrmodel.ghz3_product_point(*dirs, alpha, delta)
-        assert dec.f == pytest.approx(point.f, abs=1e-14)
-        assert np.allclose(dec.oriented, point.oriented, atol=1e-12)
+def test_grouped_oct_product_matches_the_ghz_kernel():
+    # The grouped product (v1 v2)(v3 v4) of the embedded pure unit points,
+    # taken with the oct product kernel, is the GHZ kernel's table value and
+    # deviation and the product points' f and N, for GHZ4 and for GHZ3 with
+    # its reference point prepended.
+    dirs = random_unit_vectors(RNG, 400).reshape(4, 100, 3)
+    alpha, delta = RNG.uniform(0, np.pi, 100), RNG.uniform(0, 2 * np.pi, 100)
+    for table in ALL_TABLES:
+        cases = (
+            (sphere7.embed_ghz4(*dirs),
+             lambda i: lrmodel.ghz4_product_point(*dirs[:, i], table=table)),
+            (sphere7.embed_ghz3(*dirs[:3], alpha, delta),
+             lambda i: lrmodel.ghz3_product_point(*dirs[:3, i], alpha[i], delta[i], table=table)),
+        )
+        for embedded, product_point in cases:
+            v = np.stack(embedded, axis=1)
+            points = np.concatenate((np.zeros((100, 4, 1)), v), axis=-1)
+            left = sphere7._oct_components(points[:, 0], points[:, 1], table)
+            right = sphere7._oct_components(points[:, 2], points[:, 3], table)
+            grouped = sphere7._oct_components(left, right, table)
+            _, value, _, deviation = lrmodel.ghz_kernel(v, 0.0, table)
+            assert np.max(np.abs(grouped[:, 0] - value)) <= 1e-14
+            assert np.max(np.abs(grouped[:, 1:] - deviation)) <= 1e-14
+            assert np.max(np.abs(np.sum(grouped * grouped, axis=1) - 1.0)) <= 1e-12
+            for i in (0, 99):
+                point = product_point(i)
+                assert point.f == pytest.approx(grouped[i, 0], abs=1e-14)
+                assert point.g == pytest.approx(np.linalg.norm(grouped[i, 1:]), abs=1e-14)
+                assert np.max(np.abs(point.oriented - grouped[i, 1:])) <= 1e-14

@@ -23,9 +23,9 @@ def test_counter_stream_is_pure_function_of_seed_and_index():
     stream = mcsim.LambdaStream(42)
     block = stream.sample_block(0, 1000)
     assert set(np.unique(block)) <= {-1, 1}
-    # per-index draws match the block
+    # one-index blocks match the block
     for i in (0, 1, 17, 999):
-        assert stream.sample(i) == block[i]
+        assert stream.sample_block(i, i + 1)[0] == block[i]
     # chunking does not change anything
     split = np.concatenate([stream.sample_block(0, 300), stream.sample_block(300, 1000)])
     assert np.array_equal(split, block)
@@ -226,7 +226,8 @@ def test_threshold_is_exact_at_a_drawn_value():
         stream = mcsim.LambdaStream(seed, mcsim.PlusMinusDistribution(weight))
         assert np.array_equal(stream.sample_block(start, stop),
                               _reference_signs(seed, start, stop, weight))
-    assert mcsim.LambdaStream(seed, mcsim.PlusMinusDistribution(u[2])).sample(start + 2) == -1
+    boundary = mcsim.LambdaStream(seed, mcsim.PlusMinusDistribution(u[2]))
+    assert boundary.sample_block(start + 2, start + 3)[0] == -1
 
 
 @pytest.mark.parametrize("workers", (1, 2))

@@ -1,8 +1,6 @@
 """Brute-force oracle checks: state construction, tensor expectations vs
 closed forms, the sixteen amplitude predictions, CHSH maximization."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -44,19 +42,6 @@ def test_state_validation():
         qmref.StateVector(2, np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         qmref.general_state([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        qmref.make_state("nope")
-    assert qmref.make_state("hardy", theta=0.3).n_qubits == 2
-
-
-def test_state_json_round_trip():
-    state = qmref.ghz3_state(0.7, 1.1)
-    back = qmref.StateVector.from_json(state.to_json())
-    assert back.n_qubits == 3
-    assert np.array_equal(back.amplitudes, state.amplitudes)
-    obs = qmref.SpinObservable(tuple(random_unit_vectors(RNG, 3)))
-    back_obs = qmref.SpinObservable.from_json(obs.to_json())
-    assert all(np.array_equal(a, b) for a, b in zip(obs.directions, back_obs.directions))
 
 
 def test_spin_matrix_is_hermitian_involution():

@@ -1,8 +1,6 @@
 """7D kernel checks: cross-product table properties, point products,
 the deviation vector, the generalized Lagrange identity, embeddings."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +30,17 @@ def test_default_table_designated_products():
 
 
 def test_table_constants_antisymmetric():
+    # f[i, j] = e_i x e_j: antisymmetric, signed unit basis vectors off the
+    # diagonal, and each slot k hit by exactly six ordered pairs.
+    eye = np.eye(7)
     for table in ALL_TABLES:
-        f = table.structure_constants()
+        f = sphere7.cross7(eye[:, None], eye[None, :], table)
+        assert f.shape == (7, 7, 7)
         assert np.array_equal(f, -np.swapaxes(f, 0, 1))
         assert set(np.unique(f)) <= {-1.0, 0.0, 1.0}
+        off_diagonal = ~np.eye(7, dtype=bool)
+        assert np.array_equal(np.abs(f).sum(axis=2), off_diagonal.astype(float))
+        assert np.array_equal(np.abs(f).sum(axis=(0, 1)), np.full(7, 6.0))
 
 
 def test_table_validation_rejects_bad_triples():
@@ -94,35 +99,23 @@ def test_norm_identity_property(flat):
 
 def test_oct_product_identity_and_pure_vectors():
     q = SevenPoint(0.6, 0.8 * random_unit_vectors(RNG, 1, dim=7)[0])
-    assert sphere7.oct_product(sphere7.IDENTITY7, q).allclose(q, tol=0.0)
+    identity = SevenPoint(1.0, np.zeros(7))
+    for res in (sphere7.oct_product(identity, q), sphere7.oct_product(q, identity)):
+        assert np.array_equal(res.components(), q.components())
     n1, n2 = random_unit_vectors(RNG, 2, dim=7)
     res = sphere7.oct_product(SevenPoint(0.0, n1), SevenPoint(0.0, n2))
     assert res.a == pytest.approx(-float(np.dot(n1, n2)), abs=1e-15)
     assert np.allclose(res.x, -sphere7.cross7(n1, n2), atol=1e-15)
+    square = sphere7.oct_product(SevenPoint(0.0, n1), SevenPoint(0.0, n1))
+    assert square.a == pytest.approx(-1.0, abs=1e-15) and np.max(np.abs(square.x)) < 1e-15
 
 
 @pytest.mark.parametrize("table", ALL_TABLES, ids=lambda t: t.table_id)
 def test_oct_product_unit_closure(table):
     pts = RNG.standard_normal((10_000, 2, 8))
     pts /= np.linalg.norm(pts, axis=2, keepdims=True)
-    worst = 0.0
-    for p, q in pts[:2000]:
-        res = sphere7.oct_product(SevenPoint(p[0], p[1:]), SevenPoint(q[0], q[1:]), table)
-        worst = max(worst, abs(res.norm() - 1.0))
-    assert worst < 1e-12
-
-
-def test_beable7_basics():
-    n = random_unit_vectors(RNG, 1, dim=7)[0]
-    plus, minus = sphere7.beable7(n, 1), sphere7.beable7(n, -1)
-    assert plus.a == 0.0 and np.array_equal(plus.x, n)
-    assert np.array_equal(minus.x, -n)
-    sq = sphere7.oct_product(plus, plus)
-    assert sq.a == pytest.approx(-1.0, abs=1e-15) and np.max(np.abs(sq.x)) < 1e-15
-    with pytest.raises(ValueError):
-        sphere7.beable7(2.0 * n, 1)
-    with pytest.raises(ValueError):
-        sphere7.beable7(n, 5)
+    norms = np.linalg.norm(sphere7._oct_components(pts[:, 0], pts[:, 1], table), axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 def test_z_deviation_vanishes_on_associative_triples():
@@ -203,25 +196,6 @@ def test_embed_ghz3_patterns():
     for alpha, delta in RNG.uniform(0, np.pi, (50, 2)):
         for v in sphere7.embed_ghz3(g, g, g, alpha, delta):
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-
-def test_cross_table_json_round_trip():
-    for table in ALL_TABLES:
-        doc = table.to_json()
-        back = CrossTable.from_json(doc)
-        assert back.table_id == table.table_id
-        assert back.triples == table.triples
-        assert np.array_equal(back.structure_constants(), table.structure_constants())
-        assert back.to_json() == doc  # bit-exact round trip
-
-
-def test_cross_table_from_file(tmp_path):
-    path = tmp_path / "table.json"
-    path.write_text(sphere7.DEFAULT_TABLE.to_json())
-    table = CrossTable.from_file(path)
-    assert table.triples == sphere7.DEFAULT_TABLE.triples
-    data = json.loads(path.read_text())
-    assert data["id"] == "cyclic-124"
 
 
 def test_get_table_lookup():
