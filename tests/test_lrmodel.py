@@ -194,32 +194,40 @@ def test_comparison_report_round_trips():
     assert empty.to_csv() == "label,model,oracle,residual,tolerance,verdict\n"
 
 
-def test_grouped_oct_product_matches_the_ghz_kernel():
+def _check_grouped_oct_product(embedded, product_point):
     # The grouped product (v1 v2)(v3 v4) of the embedded pure unit points,
     # taken with the oct product kernel, is the GHZ kernel's table value and
-    # deviation and the product points' f and N, for GHZ4 and for GHZ3 with
-    # its reference point prepended.
-    dirs = random_unit_vectors(RNG, 400).reshape(4, 100, 3)
-    alpha, delta = RNG.uniform(0, np.pi, 100), RNG.uniform(0, 2 * np.pi, 100)
+    # deviation and the product point's f and N, for every built-in table.
+    v = np.stack(embedded, axis=1)
+    points = np.concatenate((np.zeros((100, 4, 1)), v), axis=-1)
     for table in ALL_TABLES:
-        cases = (
-            (sphere7.embed_ghz4(*dirs),
-             lambda i: lrmodel.ghz4_product_point(*dirs[:, i], table=table)),
-            (sphere7.embed_ghz3(*dirs[:3], alpha, delta),
-             lambda i: lrmodel.ghz3_product_point(*dirs[:3, i], alpha[i], delta[i], table=table)),
-        )
-        for embedded, product_point in cases:
-            v = np.stack(embedded, axis=1)
-            points = np.concatenate((np.zeros((100, 4, 1)), v), axis=-1)
-            left = sphere7._oct_components(points[:, 0], points[:, 1], table)
-            right = sphere7._oct_components(points[:, 2], points[:, 3], table)
-            grouped = sphere7._oct_components(left, right, table)
-            _, value, _, deviation = lrmodel.ghz_kernel(v, 0.0, table)
-            assert np.max(np.abs(grouped[:, 0] - value)) <= 1e-14
-            assert np.max(np.abs(grouped[:, 1:] - deviation)) <= 1e-14
-            assert np.max(np.abs(np.sum(grouped * grouped, axis=1) - 1.0)) <= 1e-12
-            for i in (0, 99):
-                point = product_point(i)
-                assert point.f == pytest.approx(grouped[i, 0], abs=1e-14)
-                assert point.g == pytest.approx(np.linalg.norm(grouped[i, 1:]), abs=1e-14)
-                assert np.max(np.abs(point.oriented - grouped[i, 1:])) <= 1e-14
+        left = sphere7._oct_components(points[:, 0], points[:, 1], table)
+        right = sphere7._oct_components(points[:, 2], points[:, 3], table)
+        grouped = sphere7._oct_components(left, right, table)
+        _, value, _, deviation = lrmodel.ghz_kernel(v, 0.0, table)
+        assert np.max(np.abs(grouped[:, 0] - value)) <= 1e-14
+        assert np.max(np.abs(grouped[:, 1:] - deviation)) <= 1e-14
+        assert np.max(np.abs(np.sum(grouped * grouped, axis=1) - 1.0)) <= 1e-12
+        for i in (0, 99):
+            point = product_point(i, table)
+            assert point.f == pytest.approx(grouped[i, 0], abs=1e-14)
+            assert point.g == pytest.approx(np.linalg.norm(grouped[i, 1:]), abs=1e-14)
+            assert np.max(np.abs(point.oriented - grouped[i, 1:])) <= 1e-14
+
+
+def test_decomposition_ghz4_matches_table_mode():
+    dirs = random_unit_vectors(RNG, 400).reshape(4, 100, 3)
+    _check_grouped_oct_product(
+        sphere7.embed_ghz4(*dirs),
+        lambda i, table: lrmodel.ghz4_product_point(*dirs[:, i], table=table),
+    )
+
+
+def test_decomposition_ghz3_matches_table_mode():
+    # GHZ3 embeds a fixed reference point ahead of its three beables.
+    dirs = random_unit_vectors(RNG, 300).reshape(3, 100, 3)
+    alpha, delta = RNG.uniform(0, np.pi, 100), RNG.uniform(0, 2 * np.pi, 100)
+    _check_grouped_oct_product(
+        sphere7.embed_ghz3(*dirs, alpha, delta),
+        lambda i, table: lrmodel.ghz3_product_point(*dirs[:, i], alpha[i], delta[i], table=table),
+    )
