@@ -20,7 +20,7 @@ import numpy as np
 from . import lrmodel, qmref
 from .geometry import coplanar_direction, random_unit_vectors
 from .report import ComparisonReport, FloatTable, json_text
-from .sphere7 import embed_ghz3, embed_ghz4, get_table
+from .sphere7 import get_table
 
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-12,
@@ -107,20 +107,15 @@ def compare_ghz(which: str, samples: int = 500, seed: int = 7, table=None,
     """
     tol = tolerances or DEFAULT_TOLERANCES
     rng = np.random.default_rng(seed)
+    alpha = delta = None
     if which == "ghz4":
         dirs = random_unit_vectors(rng, 4 * samples).reshape(samples, 4, 3)
-        embedded = embed_ghz4(*dirs.transpose(1, 0, 2))
-        prod_z = dirs[:, 1, 2] * dirs[:, 2, 2] * dirs[:, 3, 2]
-        oracle = qmref.expectations(qmref.ghz4_state(), dirs)
     else:
         dirs, alpha, delta = np.empty((samples, 3, 3)), np.empty(samples), np.empty(samples)
         for i in range(samples):
             dirs[i] = random_unit_vectors(rng, 3)
             alpha[i], delta[i] = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
-        embedded = embed_ghz3(*dirs.transpose(1, 0, 2), alpha, delta)
-        prod_z = dirs[:, 0, 2] * dirs[:, 1, 2] * dirs[:, 2, 2]
-        oracle = qmref.expectations(qmref.ghz3_amplitudes(alpha, delta), dirs)
-    values = lrmodel.ghz_kernel(np.stack(embedded, axis=-2), prod_z, table)
+    oracle, values = lrmodel.ghz_values(which, dirs, alpha, delta, table)
     return lrmodel.ghz_report(which, oracle, values, tol["algebraic"],
                               {"state": which, "samples": samples, "seed": seed,
                                "table": get_table(table).table_id}, indexed=True)

@@ -120,9 +120,6 @@ class Multivector3:
     def norm(self) -> float:
         return float(np.linalg.norm(self.comps))
 
-    def allclose(self, other: "Multivector3", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.comps - other.comps)) <= tol)
-
     def __repr__(self) -> str:
         terms = [f"{c:+.6g}*{l}" for c, l in zip(self.comps, COMPONENT_LABELS) if c != 0.0]
         return "Multivector3(" + (" ".join(terms) if terms else "0") + ")"

@@ -19,13 +19,15 @@ Contents:
     (spherelab.hardy_kernel) solved as least squares by one batched
     Levenberg-Marquardt iteration over quasi-random multi-starts (a theta
     grid is two such calls: every point's starts, then restarts from each
-    point's neighbours), joint predictions from solved angles,
+    point's neighbours; a lone theta is the one-point grid), joint
+    predictions from solved angles,
   * three- and four-particle pipelines on S^7 in two modes: "pinned_z"
     evaluates the dot-product expansion with the postulated anisotropy
     vector Z = e3 * prod(n_iz); "table" evaluates the cross-product form
     directly under a concrete multiplication table (the two agree with the
     generalized Lagrange identity by construction; their mutual residual
-    is reported, never asserted),
+    is reported, never asserted); one stack of direction tuples is one
+    ghz_values call, and a lone setting is the one-row stack,
   * the product point (f, N) of each experiment, which spherelab.mcsim
     averages over the orientation ensemble.
 
@@ -388,48 +390,14 @@ def _sobol_points(n: int, seed: int) -> np.ndarray:
     return quasi * 2.0**-bits
 
 
-def _near_best(norms: np.ndarray) -> np.ndarray:
-    """Mask of the finite residual norms within 1e-12 of the smallest one."""
-    finite = np.isfinite(norms)
-    return finite & (norms <= norms[finite].min(initial=np.inf) + 1e-12)
-
-
-def _pick(theta: float, near: np.ndarray, diverged: int, ref=None) -> HardyAngles:
-    """The near-best iterate closest (wrapped) to the angle vector ref, when
-    given, then with the smallest angle-vector norm."""
-    key = np.linalg.norm if ref is None else (
-        lambda x: (np.linalg.norm(_wrap_angles(x - ref)), np.linalg.norm(x)))
-    return HardyAngles(theta, *min(near, key=key).tolist(), diverged=diverged).with_residual()
-
-
-def solve_hardy(theta: float, init: HardyAngles | None = None, *, starts: int = 32,
-                seed: int = 20240901) -> HardyAngles:
-    """Least-squares solve of the 13-equation angle system at one theta.
-
-    One batched Levenberg-Marquardt iteration (analytic Jacobian) runs from
-    `starts` scrambled-Sobol points in (0, pi)^7, plus `init` first when
-    given.  Returns the best iterate with its certified residual_norm and
-    the count of starts whose cost went non-finite; the caller decides what
-    residual_norm it will accept.  Ties within 1e-12 of
-    the best norm break toward continuity with `init`, then toward the
-    smallest angle-vector norm, as scan_hardy's do.  A lone theta has no
-    neighbours to continue from, so it can miss a solution that scan_hardy
-    finds.  Raises ValueError when starts is negative or no start is left.
+def solve_hardy(theta: float, *, starts: int = 32, seed: int = 20240901) -> HardyAngles:
+    """Least-squares solve of the 13-equation angle system at one theta: the
+    angles of the one-point scan_hardy, with their certified residual_norm
+    and the count of starts whose cost went non-finite; the caller decides
+    what residual_norm it will accept.  A lone theta has no neighbours to
+    continue from, so it can miss a solution that a grid scan finds.
     """
-    if starts < 0 or (starts == 0 and init is None):
-        raise ValueError(f"starts must be at least {1 if init is None else 0}, got {starts!r}")
-    x0s = np.pi * _sobol_points(starts, seed)
-    if init is not None:
-        x0s = np.vstack([init.as_array(), x0s])
-
-    xs = _wrap_angles(_solve_lm(x0s, theta))
-    norms = np.linalg.norm(hardy_kernel.residuals(xs, theta), axis=1)
-    near = _near_best(norms)
-    if not near.any():
-        best = HardyAngles(theta, *_wrap_angles(x0s[0]).tolist()).with_residual()
-        raise HardySolverError(f"all {len(x0s)} starts diverged at theta={theta!r}", best=best)
-    diverged = int(np.count_nonzero(~np.isfinite(norms)))
-    return _pick(theta, xs[near], diverged, None if init is None else init.as_array())
+    return scan_hardy([theta], starts=starts, seed=seed)[0].angles
 
 
 @dataclass(frozen=True)
@@ -495,7 +463,9 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
             near, near_norms, diverged, total = found[i]
             cand = np.vstack([near, xs[mine]])
             cand_norms = np.concatenate([near_norms, norms[mine]])
-            keep = _near_best(cand_norms)
+            # The finite norms within 1e-12 of the smallest one.
+            finite = np.isfinite(cand_norms)
+            keep = finite & (cand_norms <= cand_norms[finite].min(initial=np.inf) + 1e-12)
             found[i] = (cand[keep], cand_norms[keep],
                         diverged + int(np.count_nonzero(~np.isfinite(norms[mine]))),
                         total + int(np.count_nonzero(mine)))
@@ -520,7 +490,10 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
             best = HardyAngles(theta, *_wrap_angles(np.pi * _sobol_points(1, seed + i)[0]).tolist())
             raise HardySolverError(f"all {total} starts diverged at theta={theta!r}",
                                    best=best.with_residual())
-        angles = _pick(theta, near, diverged, prev)
+        # The near-best iterate closest (wrapped) to the previous point's answer.
+        key = np.linalg.norm if prev is None else (
+            lambda x: (np.linalg.norm(_wrap_angles(x - prev)), np.linalg.norm(x)))
+        angles = HardyAngles(theta, *min(near, key=key).tolist(), diverged=diverged).with_residual()
         res = hardy_residuals(angles)
         failing = tuple(sorted(((lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res) if abs(r) > tol),
                                key=lambda lr: -abs(lr[1])))
@@ -692,13 +665,30 @@ def ghz3_product_point(
     return _ghz_point(embed_ghz3(n1, n2, n3, alpha, delta), table)
 
 
-def _ghz_model(prefix, embedded, prod_z, oracle, mode, table, tol, meta):
+def ghz_values(which: str, dirs, alpha=None, delta=None, table: CrossTable | None = None):
+    """(oracle, ghz_kernel values) of an (N, k, 3) stack of direction tuples:
+    k = 4 for ghz4; k = 3 for ghz3, whose reference point and state take the
+    per-row alpha and delta. The pinned Z is e3 times the product of the last
+    three directions' z components."""
+    dirs = np.asarray(dirs, dtype=float)
+    sites = dirs.transpose(1, 0, 2)
+    if which == "ghz4":
+        embedded, state = embed_ghz4(*sites), qmref.ghz4_state()
+    else:
+        embedded, state = embed_ghz3(*sites, alpha, delta), qmref.ghz3_amplitudes(alpha, delta)
+    prod_z = dirs[:, -3, 2] * dirs[:, -2, 2] * dirs[:, -1, 2]
+    return qmref.expectations(state, dirs), ghz_kernel(np.stack(embedded, axis=-2), prod_z, table)
+
+
+def _ghz_model(which, dirs, mode, table, tol, **numbers):
+    """The value of the given mode and the report of one setting: ghz_values
+    on its one-row stack; numbers are ghz3's alpha and delta."""
     if mode not in GHZ_MODES:
         raise ValueError(f"mode must be one of {GHZ_MODES}, got {mode!r}")
     table = get_table(table)
-    values = ghz_kernel(np.stack(embedded)[None], prod_z, table)
-    report = ghz_report(prefix, [oracle], values, tol,
-                        {"mode": mode, "table": table.table_id, **meta})
+    oracle, values = ghz_values(which, [dirs], table=table, **{k: [v] for k, v in numbers.items()})
+    report = ghz_report(which, oracle, values, tol,
+                        {"mode": mode, "table": table.table_id, **numbers})
     return float(values[0 if mode == "pinned_z" else 1][0]), report
 
 
@@ -712,9 +702,7 @@ def ghz4_model(n1, n2, n3, n4, mode: str = "pinned_z", table: CrossTable | str |
     always agrees with its own Lagrange-identity rewrite, and its residual
     against pinned_z mode is reported per tuple.
     """
-    oracle = qmref.tensor_expectation(qmref.ghz4_state(), qmref.SpinObservable((n1, n2, n3, n4)))
-    return _ghz_model("ghz4", embed_ghz4(n1, n2, n3, n4), n2[2] * n3[2] * n4[2], oracle,
-                      mode, table, tol, {})
+    return _ghz_model("ghz4", (n1, n2, n3, n4), mode, table, tol)
 
 
 def ghz3_model(n1, n2, n3, alpha: float, delta: float, mode: str = "pinned_z",
@@ -722,7 +710,4 @@ def ghz3_model(n1, n2, n3, alpha: float, delta: float, mode: str = "pinned_z",
                tol: float = ALGEBRA_ROW_TOL) -> tuple[float, ComparisonReport]:
     """Three-particle model value plus report; the reference point carries
     (alpha, delta) and the pinned Z is e3 * (n1z n2z n3z)."""
-    oracle = qmref.tensor_expectation(qmref.ghz3_state(alpha, delta),
-                                      qmref.SpinObservable((n1, n2, n3)))
-    return _ghz_model("ghz3", embed_ghz3(n1, n2, n3, alpha, delta), n1[2] * n2[2] * n3[2],
-                      oracle, mode, table, tol, {"alpha": alpha, "delta": delta})
+    return _ghz_model("ghz3", (n1, n2, n3), mode, table, tol, alpha=alpha, delta=delta)

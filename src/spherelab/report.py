@@ -143,9 +143,6 @@ class ComparisonReport:
     def to_json(self) -> str:
         return "".join(self.json_chunks())
 
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
-
     @classmethod
     def from_json(cls, doc: str) -> "ComparisonReport":
         data = json.loads(doc)

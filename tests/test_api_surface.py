@@ -1,9 +1,9 @@
-"""Every top-level function and class of spherelab must be reached by the
-program or by its documented surface: the rest of src/, the README, the
-benchmark harness (perfbench/*.py) or the acceptance suite. A name that only
-other tests reach is library API kept for them alone; it stays only when
-TEST_REFERENCES names the test that compares against it, so test-only API
-cannot grow back unnoticed."""
+"""Every top-level function and class of spherelab, and every method of
+those classes, must be reached by the program or by its documented surface:
+the rest of src/, the README, the benchmark harness (perfbench/*.py) or the
+acceptance suite. A name that only other tests reach is library API kept for
+them alone; it stays only when TEST_REFERENCES names the test that compares
+against it, so test-only API cannot grow back unnoticed."""
 
 import ast
 import collections
@@ -21,6 +21,8 @@ TEST_REFERENCES = {
     "ga3.tilted_point": "tests/test_hardy.py::test_hardy_point_matches_kernel_tilted_product",
     "hardy_kernel.jacobian":
         "tests/test_hardy.py::test_jacobian_matches_a_complex_step_of_the_reference",
+    "mcsim.LambdaStream.sample_block":
+        "tests/test_mcsim.py::test_orientation_sum_matches_the_sample_block_route",
     "qmref.general_state": "tests/test_qmref.py::test_batched_kernel_matches_kronecker_reference",
 }
 
@@ -53,11 +55,15 @@ def _references(path: Path) -> list:
 
 def _definitions():
     """(module file, name, first line, last line) of each top-level def and
-    class of spherelab, dunder hooks left out."""
+    class of spherelab and of each method of those classes, named
+    Class.method; dunder hooks left out."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
                 yield path, node.name, node.lineno, node.end_lineno
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    yield path, f"{node.name}.{method.name}", method.lineno, method.end_lineno
 
 
 @functools.cache
@@ -70,10 +76,11 @@ def _unreached() -> tuple:
         for name, line in _references(path):
             src_refs[name].append((path, line))
     unreached = []
-    for path, name, first, last in _definitions():
+    for path, qualname, first, last in _definitions():
+        name = qualname.split(".")[-1]
         in_src = any(other != path or not first <= line <= last for other, line in src_refs[name])
         if not (in_src or name in used or re.search(rf"\b{name}\b", readme)):
-            unreached.append(f"{path.stem}.{name}")
+            unreached.append(f"{path.stem}.{qualname}")
     return tuple(unreached)
 
 

@@ -187,11 +187,11 @@ def test_comparison_report_round_trips():
     back = ComparisonReport.from_json(report.to_json())
     assert back.rows == report.rows
     assert back.meta == report.meta
-    csv_text = report.to_csv()
+    csv_text = "".join(report.chunks("csv"))
     assert csv_text.splitlines()[0] == "label,model,oracle,residual,tolerance,verdict"
     assert len(csv_text.splitlines()) == len(report.rows) + 1
     empty = ComparisonReport([])
-    assert empty.to_csv() == "label,model,oracle,residual,tolerance,verdict\n"
+    assert "".join(empty.chunks("csv")) == "label,model,oracle,residual,tolerance,verdict\n"
 
 
 def _check_grouped_oct_product(embedded, product_point):

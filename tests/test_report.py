@@ -64,14 +64,14 @@ def test_template_writer_matches_json_dumps_and_csv_writer(rows, meta, chunk):
     report_module.CHUNK_ROWS = chunk  # several chunks, and chunk edges, in small reports
     try:
         assert report.to_json() == reference_json(rows, meta)
-        assert report.to_csv() == reference_csv(rows)
+        assert "".join(report.chunks("csv")) == reference_csv(rows)
     finally:
         report_module.CHUNK_ROWS = old_chunk
 
 
 def test_empty_report_layout():
     assert ComparisonReport([]).to_json() == '{\n  "meta": {},\n  "rows": []\n}'
-    assert ComparisonReport([]).to_csv() == ",".join(CSV_COLUMNS) + "\n"
+    assert "".join(ComparisonReport([]).chunks("csv")) == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_rows_view_and_verdicts_derive_from_the_columns():
@@ -82,4 +82,5 @@ def test_rows_view_and_verdicts_derive_from_the_columns():
     back = ComparisonReport.from_json(report.to_json())
     assert [r.label for r in back.rows] == ["a", "b", "c", "d"]
     assert [r.label for r in report.mismatches()] == ["b", "d"]
-    assert ComparisonReport(report.rows).to_csv() == report.to_csv()
+    csv_text = "".join(report.chunks("csv"))
+    assert "".join(ComparisonReport(report.rows).chunks("csv")) == csv_text
