@@ -270,6 +270,15 @@ def test_solver_without_a_start_raises_value_error(starts):
         lrmodel.solve_hardy(0.0, starts=starts)
 
 
+def test_solver_failure_with_init_carries_best_iterate():
+    # The theta = 0 neighbour's answer is one more start at theta = nan, in
+    # the scan's restart pass; it diverges too and is counted with the rest.
+    with pytest.raises(lrmodel.HardySolverError) as err:
+        lrmodel.scan_hardy([0.0, float("nan")], starts=2)
+    assert "all 3 starts diverged" in str(err.value)
+    assert err.value.best is not None and err.value.best.theta != err.value.best.theta
+
+
 def test_non_finite_start_is_counted_and_does_not_stop_the_others(monkeypatch):
     nan_start = np.array([float("nan"), *np.full(6, 0.5)])
     out = lrmodel._solve_lm(np.vstack([nan_start, np.full(7, 0.5)]), 0.0)
