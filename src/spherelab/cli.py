@@ -51,6 +51,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose parse errors are UsageErrors, so main reports
+    them in one line and returns 2; its subparsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # artifact writing
 # ---------------------------------------------------------------------------
@@ -110,7 +118,6 @@ def write_report(report, path, fmt: str) -> Path:
 # sentinel so precedence is flag > config file > default.
 COMMAND_DEFAULTS = {
     "identities": {"seed": 0, "samples": 10_000, "table": "all"},
-    "qm": {"seed": 0},
     "model": {"seed": 20240901, "mode": "pinned_z", "starts": 32},
     "solve-hardy": {"seed": 20240901, "starts": 32},
     "scan-chsh": {"seed": 0, "count": 100_000, "format": "csv"},
@@ -436,14 +443,18 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, *, angles=False):
+def _add_common(p, *, angles=False, seed=True, tolerance=False):
+    """The flags every subcommand takes, plus --seed and --tolerance where the
+    subcommand reads them and --unit, --angles and --angles-file with angles."""
     p.add_argument("--config", help="JSON file of option defaults; explicit flags win")
     p.add_argument("--out", help=f"artifact path (relative paths join ${OUTDIR_ENV})")
     p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", action="append", default=None, metavar="CLASS=VALUE",
-                   help=f"override a tolerance class (repeatable); classes: "
-                        f"{', '.join(DEFAULT_TOLERANCES)}")
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
+    if tolerance:
+        p.add_argument("--tolerance", action="append", default=None, metavar="CLASS=VALUE",
+                       help=f"override a tolerance class (repeatable); classes: "
+                            f"{', '.join(DEFAULT_TOLERANCES)}")
     if angles:
         p.add_argument("--unit", choices=("deg", "rad"), default=None,
                        help="unit for every angle flag (mandatory when angles are given)")
@@ -452,7 +463,7 @@ def _add_common(p, *, angles=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spherelab",
         description="Sphere-model correlation laboratory: model evaluators, "
         "brute-force quantum oracle, constraint solver, seeded ensembles, "
@@ -467,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("qm", help="brute-force oracle values vs closed forms")
-    _add_common(p, angles=True)
+    _add_common(p, angles=True, seed=False, tolerance=True)
     p.add_argument("--state", required=True, choices=("singlet", "hardy", "ghz3", "ghz4"))
     p.add_argument("--theta", type=float, default=None, help="hardy parameter (in --unit)")
     p.add_argument("--alpha", type=float, default=None)
@@ -475,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qm)
 
     p = sub.add_parser("model", help="model evaluations")
-    _add_common(p, angles=True)
+    _add_common(p, angles=True, tolerance=True)
     p.add_argument("--which", required=True, choices=("singlet", "chsh", "hardy", "ghz3", "ghz4"))
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -489,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("solve-hardy", help="solve the angle system over a theta grid")
-    _add_common(p)
+    _add_common(p, tolerance=True)
     p.add_argument("--unit", choices=("deg", "rad"), default=None)
     p.add_argument("--theta-grid", default=None, help="start:stop:count (in --unit)")
     p.add_argument("--starts", type=int, default=None)
@@ -512,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("compare", help="full model-vs-oracle comparison report")
-    _add_common(p)
+    _add_common(p, tolerance=True)
     p.add_argument("--state", default=None,
                    choices=("singlet", "chsh", "hardy", "ghz3", "ghz4", "all"))
     p.add_argument("--samples", type=int, default=None)
@@ -525,9 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(parser.parse_args(argv), parser)
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -83,13 +83,13 @@ def compare_hardy(thetas=CANONICAL_HARDY_THETAS, grid_points: int = 21, seed: in
                tol["algebraic"])
     # Solver-mediated joint predictions where the angle system certifies.
     headline = [qmref.HARDY_PAIRS.index(pair) for pair in lrmodel.HEADLINE_HARDY_PAIRS]
-    for row, amplitudes in zip(scan, oracle[grid_points:]):
+    model, _ = lrmodel.hardy_points([row.angles.as_array() for row in scan],
+                                    [row.theta for row in scan], lrmodel.HEADLINE_HARDY_PAIRS)
+    for row, joints, amplitudes in zip(scan, model, oracle[grid_points:]):
         if row.solved:
             report.add([f"hardy_model[{row.theta:.6f},{s1},{s2}]"
                         for s1, s2 in lrmodel.HEADLINE_HARDY_PAIRS],
-                       [lrmodel.hardy_joint(row.angles, pair)
-                        for pair in lrmodel.HEADLINE_HARDY_PAIRS],
-                       amplitudes[headline], tol["solver_prediction"])
+                       joints, amplitudes[headline], tol["solver_prediction"])
         else:
             report.add([f"hardy_model.unsolved[{row.theta:.6f}]"], row.angles.residual_norm,
                        0.0, math.inf)

@@ -19,8 +19,9 @@ Contents:
     (spherelab.hardy_kernel) solved as least squares by one batched
     Levenberg-Marquardt iteration over quasi-random multi-starts (a theta
     grid is two such calls: every point's starts, then restarts from each
-    point's neighbours; a lone theta is the one-point grid), joint
-    predictions from solved angles,
+    point's neighbours; a lone theta is the one-point grid), and the
+    joint predictions of solved angles, every setting pair of a whole angle
+    stack from one hardy_points call,
   * three- and four-particle pipelines on S^7 in two modes: "pinned_z"
     evaluates the dot-product expansion with the postulated anisotropy
     vector Z = e3 * prod(n_iz); "table" evaluates the cross-product form
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hardy_kernel, qmref
-from .geometry import require_unit, require_units, spherical_direction
+from .geometry import coplanar_direction, require_unit, require_units
 from .report import ComparisonReport
 from .sphere7 import CrossTable, cross7, embed_ghz3, embed_ghz4, get_table, z_deviation
 
@@ -493,80 +494,64 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
         # The near-best iterate closest (wrapped) to the previous point's answer.
         key = np.linalg.norm if prev is None else (
             lambda x: (np.linalg.norm(_wrap_angles(x - prev)), np.linalg.norm(x)))
-        angles = HardyAngles(theta, *min(near, key=key).tolist(), diverged=diverged).with_residual()
-        res = hardy_residuals(angles)
+        chosen = min(near, key=key)
+        res = hardy_kernel.residuals(chosen, theta)  # the one residual evaluation at this point
+        angles = HardyAngles(theta, *chosen.tolist(), residual_norm=float(np.linalg.norm(res)),
+                             diverged=diverged)
         failing = tuple(sorted(((lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res) if abs(r) > tol),
                                key=lambda lr: -abs(lr[1])))
         rows.append(HardyScanRow(theta, angles, angles.solved(tol), failing))
-        prev = angles.as_array()
+        prev = chosen
     return rows
 
 
 # --- joint predictions from solved angles ---------------------------------
 
-# (cos-coefficient angle name, sin sign, sin/cos swapped?) for each setting.
-# The printed b- point swaps sin and cos of eta; the flag restores the
+# Per setting: (index into ANGLE_NAMES, sin sign, primed axis?).  The printed
+# b- point swaps sin and cos of eta; swapped_b_minus=False restores the
 # unswapped variant for comparison.
-_TILTS_SITE1 = {
-    "a+": ("alpha", +1, False),
-    "a-": ("eta", -1, False),
-    "a'+": ("gamma", +1, False),
-    "a'-": ("rho", -1, False),
-}
-_TILTS_SITE2 = {
-    "b+": ("beta", +1, False),
-    "b-": ("eta", -1, True),
-    "b'+": ("delta", +1, False),
-    "b'-": ("nu", -1, False),
+_HARDY_SETTINGS = {
+    "a+": (0, +1, False), "a-": (4, -1, False), "a'+": (2, +1, True), "a'-": (5, -1, True),
+    "b+": (1, +1, False), "b-": (4, -1, False), "b'+": (3, +1, True), "b'-": (6, -1, True),
 }
 
 
-def hardy_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(plain, primed) measurement directions: both sides share z and the
-    direction at polar angle 2*theta in the x-z plane."""
-    return np.array([0.0, 0.0, 1.0]), spherical_direction(2.0 * theta, 0.0)
+def hardy_points(x, thetas, pairs=qmref.HARDY_PAIRS, *, swapped_b_minus: bool = True):
+    """Product points of the two tilted points of each pair = (site1, site2),
+    e.g. ("a'+", "b+"), for each row of a (T, 7) angle stack with its thetas:
+    the scalars f, (T, P), and the oriented bivector axes, (T, P, 3).
 
-
-def _tilt_components(angles: HardyAngles, setting: str, swapped_b_minus: bool):
-    table = _TILTS_SITE1 if setting in _TILTS_SITE1 else _TILTS_SITE2
-    if setting not in table:
-        raise ValueError(f"unknown setting {setting!r}")
-    name, sign, swapped = table[setting]
-    if setting == "b-" and not swapped_b_minus:
-        swapped = False
-    chi = getattr(angles, name)
-    c, s = math.cos(chi), math.sin(chi)
-    if swapped:
-        c, s = s, c
-    plain, primed = hardy_directions(angles.theta)
-    axis = primed if "'" in setting else plain
-    return c, sign * s, axis
+    For tilted points (c1 + s1 * beable(u)) (c2 + s2 * beable(v)) the scalar
+    is c1 c2 - s1 s2 (u . v) and the oriented axis c2 s1 u + c1 s2 v -
+    s1 s2 (u x v).  Both sides share z as the plain direction and the
+    direction at polar angle 2 theta in the x-z plane as the primed one, so
+    a.b = a'.b' = 1 and a'.b = a.b' = cos 2 theta.  u . v is _inner's
+    dot, so each f has the bits of a per-pair np.dot.
+    """
+    unknown = [s for pair in pairs for s in pair if s not in _HARDY_SETTINGS]
+    if unknown:
+        raise ValueError(f"unknown setting {unknown[0]!r}")
+    table = np.array([[_HARDY_SETTINGS[s] for s in pair] for pair in pairs])  # (P, 2, 3)
+    index, sign, primed = np.moveaxis(table, -1, 0)
+    x = np.asarray(x, dtype=float).reshape(-1, 7)
+    cos, sin = np.cos(x)[:, index], np.sin(x)[:, index]  # (T, P, 2)
+    swap = np.array([[s == "b-" for s in pair] for pair in pairs]) & swapped_b_minus
+    cos, sin = np.where(swap, sin, cos), sign * np.where(swap, cos, sin)
+    primed_axis = coplanar_direction(2.0 * np.asarray(thetas, dtype=float))[:, None, None]
+    u, v = np.moveaxis(np.where(primed.astype(bool)[..., None], primed_axis, [0.0, 0.0, 1.0]), -2, 0)
+    (c1, c2), (s1, s2) = np.moveaxis(cos, -1, 0), np.moveaxis(sin, -1, 0)
+    f = c1 * c2 - s1 * s2 * _inner(u, v)[..., 0]
+    oriented = (c2 * s1)[..., None] * u + (c1 * s2)[..., None] * v - (s1 * s2)[..., None] * np.cross(u, v)
+    return f, oriented
 
 
 def hardy_joint(
     angles: HardyAngles, pair: tuple[str, str], *, swapped_b_minus: bool = True
 ) -> float:
     """Orientation-independent scalar of the product of the two tilted
-    points selected by pair = (site1, site2), e.g. ("a'+", "b+").
-
-    For tilted points (c1 + s1 * beable(u)) (c2 + s2 * beable(v)) the
-    scalar is c1 c2 - s1 s2 (u . v), with the dot products fixed by the
-    Hardy geometry (a.b = 1, a'.b = a.b' = cos 2 theta, a'.b' = 1).
-    """
-    return hardy_point(angles, pair, swapped_b_minus=swapped_b_minus).f
-
-
-def hardy_point(
-    angles: HardyAngles, pair: tuple[str, str], *, swapped_b_minus: bool = True
-) -> DecompositionResult:
-    """Full product point for the pair: the scalar returned by hardy_joint
-    plus the oriented bivector axis c2 s1 u + c1 s2 v - s1 s2 (u x v),
-    which points along a direction exclusive to both u and v."""
-    c1, s1, u = _tilt_components(angles, pair[0], swapped_b_minus)
-    c2, s2, v = _tilt_components(angles, pair[1], swapped_b_minus)
-    f = c1 * c2 - s1 * s2 * float(np.dot(u, v))
-    oriented = c2 * s1 * u + c1 * s2 * v - s1 * s2 * np.cross(u, v)
-    return DecompositionResult(f, oriented)
+    points selected by pair: the one-pair row of hardy_points."""
+    f, _ = hardy_points([angles.as_array()], [angles.theta], [pair], swapped_b_minus=swapped_b_minus)
+    return float(f[0, 0])
 
 
 def hardy_report(
@@ -579,8 +564,8 @@ def hardy_report(
     non-vanishing one) are gated: those are the ones the constraint system
     pins for any solution.  The other twelve are measurements.
     """
-    points = [hardy_point(angles, pair, swapped_b_minus=swapped_b_minus)
-              for pair in qmref.HARDY_PAIRS]
+    f, oriented = hardy_points([angles.as_array()], [angles.theta], swapped_b_minus=swapped_b_minus)
+    magnitude = np.sqrt(_inner(oriented[0], oriented[0])[:, 0])
     tol = [tol_joint if pair in HEADLINE_HARDY_PAIRS else math.inf for pair in qmref.HARDY_PAIRS]
     oracle = qmref.hardy_amplitudes([angles.theta])[0]
     # Each pair's joint row, then its oriented-magnitude row.
@@ -588,7 +573,7 @@ def hardy_report(
                                   "swapped_b_minus": swapped_b_minus}).add(
         [f"{name}[{s1},{s2}]" for s1, s2 in qmref.HARDY_PAIRS
          for name in ("hardy", "hardy_oriented_magnitude")],
-        [value for p in points for value in (p.f, p.g)],
+        np.column_stack((f[0], magnitude)).ravel(),
         np.column_stack((oracle, np.zeros(16))).ravel(),
         np.column_stack((tol, np.full(16, math.inf))).ravel(),
     )

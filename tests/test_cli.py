@@ -755,6 +755,37 @@ def test_tolerance_accepts_inf():
                    "--tolerance", "algebraic=inf") == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("compare", "--state", "singlet", "--samples", "3", "--bogus"),
+    ("compare", "--state", "bogus"),
+    ("model", "--theta", "30", "--unit", "deg"),
+], ids=("unknown-flag", "bad-state-choice", "missing-which"))
+def test_parse_errors_return_two_with_one_line(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("identities", "--samples", "50", "--tolerance", "bogus=3"),
+    ("scan-chsh", "--count", "10", "--tolerance", "bogus=3"),
+    ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg", "--trials", "10",
+     "--tolerance", "algebraic=x"),
+    ("qm", "--state", "singlet", "--angles", "0,0,120,0", "--unit", "deg", "--seed", "3"),
+], ids=("identities-tolerance", "scan-chsh-tolerance", "mc-tolerance", "qm-seed"))
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path, capsys):
+    flag, value = argv[-2:]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+    # A config key for the flag is not an option either.
+    key = flag.lstrip("-")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: [value] if key == "tolerance" else int(value)}))
+    assert run_cli(*argv[:-2], "--config", str(path)) == 2
+    assert capsys.readouterr().err == f"error: config key {key!r} is not an option of {argv[0]}\n"
+
+
 def test_artifact_mode_follows_umask(tmp_path):
     old = os.umask(0o022)
     try:

@@ -129,33 +129,44 @@ def test_scan_continuation_is_deterministic():
 
 
 def test_hardy_point_matches_kernel_tilted_product():
-    # The (f, oriented) split must equal the raw Cl(3,0) product of the two
-    # tilted points at orientation +1.
-    angles = _random_angles(theta=0.35).with_residual()
-    plain, primed = lrmodel.hardy_directions(angles.theta)
-    tilt_map = {
-        "a+": (angles.alpha, plain, 1),
-        "a-": (angles.eta, plain, -1),
-        "a'+": (angles.gamma, primed, 1),
-        "a'-": (angles.rho, primed, -1),
-        "b+": (angles.beta, plain, 1),
-        "b'+": (angles.delta, primed, 1),
-        "b'-": (angles.nu, primed, -1),
-    }
-    for s1, s2 in qmref.HARDY_PAIRS:
-        if s2 == "b-":
-            chi = math.pi / 2 - angles.eta  # swapped point: sin/cos exchanged
-            p2 = ga3.tilted_point(chi, plain, 1, sign=-1)
-        else:
-            chi, axis, sign = tilt_map[s2]
-            p2 = ga3.tilted_point(chi, axis, 1, sign=sign)
-        chi1, axis1, sign1 = tilt_map[s1]
-        p1 = ga3.tilted_point(chi1, axis1, 1, sign=sign1)
-        raw = ga3.geometric_product(p1, p2)
-        point = lrmodel.hardy_point(angles, (s1, s2))
-        assert point.f == pytest.approx(raw.s, abs=1e-13), (s1, s2)
-        assert np.allclose(point.oriented, raw.b, atol=1e-13), (s1, s2)
-        assert lrmodel.hardy_joint(angles, (s1, s2)) == pytest.approx(raw.s, abs=1e-13)
+    # Each pair's (f, oriented) split must equal the raw Cl(3,0) product of
+    # the two tilted points at orientation +1, for both b- variants.
+    thetas = np.array([0.0, 0.35, math.pi / 4, math.pi / 2])
+    x = RNG.uniform(0, np.pi, (len(thetas), 7))
+    for swapped in (True, False):
+        f, oriented = lrmodel.hardy_points(x, thetas, swapped_b_minus=swapped)
+        assert f.shape == (4, 16) and oriented.shape == (4, 16, 3)
+        for t, (theta, (al, be, ga, de, et, ro, nu)) in enumerate(zip(thetas, x)):
+            plain = np.array([0.0, 0.0, 1.0])
+            primed = np.array([math.sin(2 * theta), 0.0, math.cos(2 * theta)])
+            tilts = {
+                "a+": (al, plain, 1), "a-": (et, plain, -1), "a'+": (ga, primed, 1),
+                "a'-": (ro, primed, -1), "b+": (be, plain, 1), "b'+": (de, primed, 1),
+                "b'-": (nu, primed, -1),
+                # The printed b- point exchanges sin and cos of eta.
+                "b-": (math.pi / 2 - et if swapped else et, plain, -1),
+            }
+            for p, pair in enumerate(qmref.HARDY_PAIRS):
+                raw = ga3.geometric_product(*(ga3.tilted_point(chi, axis, 1, sign=sign)
+                                              for chi, axis, sign in (tilts[s] for s in pair)))
+                assert f[t, p] == pytest.approx(raw.s, abs=1e-13), (theta, pair, swapped)
+                assert np.allclose(oriented[t, p], raw.b, atol=1e-13), (theta, pair, swapped)
+
+
+def test_hardy_points_stack_matches_rows_bit_for_bit():
+    # 100 rows with their own thetas; each row's one-row call, and each
+    # pair's hardy_joint, must give the stack's bits.
+    thetas = RNG.uniform(0.0, math.pi / 2, 100)
+    x = RNG.uniform(-4.0, 4.0, (100, 7))
+    for swapped in (True, False):
+        f, oriented = lrmodel.hardy_points(x, thetas, swapped_b_minus=swapped)
+        for t, (theta, row) in enumerate(zip(thetas, x)):
+            f_row, oriented_row = lrmodel.hardy_points(row[None], [theta], swapped_b_minus=swapped)
+            assert np.array_equal(f_row[0], f[t]) and np.array_equal(oriented_row[0], oriented[t])
+            angles = HardyAngles(float(theta), *row.tolist())
+            joints = [lrmodel.hardy_joint(angles, pair, swapped_b_minus=swapped)
+                      for pair in qmref.HARDY_PAIRS]
+            assert np.array_equal(joints, f[t])
 
 
 def test_b_minus_swap_flag():

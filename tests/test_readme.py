@@ -1,6 +1,8 @@
 """Every `spherelab` command line in the README's sh blocks runs as written,
-at the README's sizes, and writes the artifact its --out names."""
+at the README's sizes, and writes the artifact its --out names; the python
+library example runs and gives the values its comments state."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -37,3 +39,17 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     if "--out" in argv:
         assert (tmp_path / argv[argv.index("--out") + 1]).is_file()
+
+
+def test_readme_library_example_runs():
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    namespace, values = {}, {}
+    # Statement by statement, keeping each bare expression's value by its text.
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(block, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values["compare.model_hardy_report(0.0).mismatches()"] == []
+    assert repr(values['compare.model_report(ghz3, mode="table").meta["value"]']).startswith("0.1218")
