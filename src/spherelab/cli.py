@@ -20,10 +20,8 @@ Conventions:
     still written), 2 usage/configuration errors, 3 an internal error (one
     line, no traceback).
 
-One gating rule: a row gates the exit status iff its tolerance is finite and
-it mismatches; rows with an infinite tolerance are measurements. The one
-exception is --strict-table, which holds the GHZ table-vs-pinned rows to the
-algebraic tolerance in effect.
+One gating rule: a row gates the exit status iff the artifact gives it a
+finite tolerance and the verdict mismatch; the other rows are measurements.
 """
 
 from __future__ import annotations
@@ -139,6 +137,17 @@ CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 CONFIG_LISTS = {"angles": ((str, list), "a string or a list"), "tolerance": ((list,), "a list")}
 
 
+# The model flags that only some --which settings read: dest -> those settings.
+# --table is not among them: it names a table that must exist for every one.
+MODEL_FLAG_SETTINGS = {
+    "theta": ("hardy",), "starts": ("hardy",), "unswapped_b_minus": ("hardy",),
+    "mode": ("ghz3", "ghz4"), "strict_table": ("ghz3", "ghz4"),
+    "angles": tuple(mcsim.EXPERIMENTS),
+    **{name: tuple(kind for kind, spec in mcsim.EXPERIMENTS.items() if name in spec.numbers)
+       for name in ("alpha", "delta")},
+}
+
+
 def _subcommand_options(parser: argparse.ArgumentParser, command: str) -> dict:
     """dest -> argparse action for each option flag of a subcommand."""
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -162,7 +171,8 @@ def _check_config_value(action: argparse.Action, value):
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Apply JSON config values beneath explicit flags, then fill defaults.
     Every key must name one of the subcommand's flags, and its value must
-    have the type that flag takes."""
+    have the type that flag takes. A model flag, given or from a key, must
+    be one its --which setting reads."""
     if getattr(args, "config", None):
         try:
             doc = Path(args.config).read_text()
@@ -183,6 +193,11 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             current = getattr(args, attr, None)
             if current is None or (current is False and isinstance(value, bool)):
                 setattr(args, attr, value)
+    if args.command == "model":  # before the defaults fill --starts and --mode
+        for dest, settings in MODEL_FLAG_SETTINGS.items():
+            if getattr(args, dest) not in (None, False) and args.which not in settings:
+                raise UsageError(f"--{dest.replace('_', '-')} is read only for --which "
+                                 f"{' or '.join(settings)}, not {args.which}")
     for key, value in COMMAND_DEFAULTS.get(args.command, {}).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
@@ -321,23 +336,17 @@ def _tolerances(args) -> dict:
     return tol
 
 
-def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
+def _emit(args, report) -> int:
     """Write the artifact in --format (json by default) if --out is given;
     for a comparison, print the summary and exit 1 iff a gated row
     mismatches (a NaN residual included)."""
     if args.out:
         print(f"wrote {write_report(report, args.out, args.format or 'json')}")
     if isinstance(report, ComparisonReport):
-        # A row gates iff its tolerance is finite; --strict-table holds the
-        # table-vs-pinned rows to the algebraic tolerance in effect.
-        tol = report.tolerance
-        if getattr(args, "strict_table", False):
-            tol = np.where(["table_vs_pinned_z" in label for label in report.labels],
-                           tolerances["algebraic"], tol)
         residual = report.residual
         size = np.abs(residual)
-        gated = np.isfinite(tol)
-        bad = np.flatnonzero(gated & ~(size <= tol))
+        gated = np.isfinite(report.tolerance)
+        bad = np.flatnonzero(gated & ~(size <= report.tolerance))
         peak = "no gated rows"
         if gated.any():
             # The first gated row of the largest |residual|, a NaN one counting as largest.
@@ -347,7 +356,7 @@ def _emit(args, report, tolerances=DEFAULT_TOLERANCES) -> int:
         for i in bad[:20].tolist():
             print(f"  MISMATCH {report.labels[i]}: model={float(report.model[i])!r} "
                   f"oracle={float(report.oracle[i])!r} residual={residual[i]:.3e} "
-                  f"tol={tol[i]:g}")
+                  f"tol={report.tolerance[i]:g}")
         return 1 if len(bad) else 0
     return 0
 
@@ -383,7 +392,7 @@ def cmd_model(args) -> int:
     else:
         experiment, _ = _setting(args, args.which)
         report = compare.model_report(experiment, args.mode, args.table, tol)
-    return _emit(args, report, tol)
+    return _emit(args, compare.strict_table(report, tol["algebraic"]) if args.strict_table else report)
 
 
 def cmd_solve_hardy(args) -> int:
@@ -435,7 +444,7 @@ def cmd_compare(args) -> int:
     if args.table is not None:
         get_table(args.table)  # a ValueError for a table that does not exist, before any build
     report = compare.build_comparison(args.state, args.samples, args.seed, args.table, tol)
-    return _emit(args, report, tol)
+    return _emit(args, compare.strict_table(report, tol["algebraic"]) if args.strict_table else report)
 
 
 # ---------------------------------------------------------------------------

@@ -205,21 +205,25 @@ def model_report(experiment, mode: str = "pinned_z", table=None,
 
 def model_hardy_report(theta: float, starts: int = 32, seed: int = 20240901,
                        swapped_b_minus: bool = True, tolerances=None) -> ComparisonReport:
-    """The joint predictions of the angles solved at one theta against the
-    amplitudes. When the angle system does not certify, meta lists the failing
-    residuals and every joint row is relabelled `.info` and never gates."""
+    """The joint predictions of the angles of the one-point scan_hardy against
+    the amplitudes. When they do not certify, meta lists the scan row's failing
+    equations and every joint row is relabelled `.info` and never gates."""
     tol = tolerances or DEFAULT_TOLERANCES
-    angles = lrmodel.solve_hardy(theta, starts=starts, seed=seed)
-    report = lrmodel.hardy_report(angles, tol_joint=tol["solver_prediction"],
+    (row,) = lrmodel.scan_hardy([theta], starts=starts, seed=seed, tol=tol["solver_residual"])
+    report = lrmodel.hardy_report(row.angles, tol_joint=tol["solver_prediction"],
                                   swapped_b_minus=swapped_b_minus)
-    if not angles.solved(tol["solver_residual"]):
-        res = lrmodel.hardy_residuals(angles)
-        report.meta["failing"] = [{"label": l, "residual": float(r)}
-                                  for l, r in zip(lrmodel.RESIDUAL_LABELS, res)
-                                  if abs(r) > tol["solver_residual"]]
+    if not row.solved:
+        report.meta["failing"] = row.to_dict()["failing"]
         info = [not label.startswith("hardy_oriented") for label in report.labels]
         report.labels = [label + ".info" if i else label for label, i in zip(report.labels, info)]
         report.tolerance = np.where(info, math.inf, report.tolerance)
+    return report
+
+
+def strict_table(report: ComparisonReport, tolerance: float) -> ComparisonReport:
+    """--strict-table: the report with its GHZ table-vs-pinned rows held to tolerance."""
+    table = ["table_vs_pinned_z" in label for label in report.labels]
+    report.tolerance = np.where(table, tolerance, report.tolerance)
     return report
 
 

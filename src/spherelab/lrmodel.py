@@ -19,7 +19,7 @@ Contents:
     (spherelab.hardy_kernel) solved as least squares by one batched
     Levenberg-Marquardt iteration over quasi-random multi-starts (a theta
     grid is two such calls: every point's starts, then restarts from each
-    point's neighbours; a lone theta is the one-point grid), and the
+    point's neighbours; a lone theta gets an unreported neighbour), and the
     joint predictions of solved angles, every setting pair of a whole angle
     stack from one hardy_points call,
   * three- and four-particle pipelines on S^7 in two modes: "pinned_z"
@@ -230,13 +230,6 @@ class HardyAngles:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in ANGLE_NAMES])
 
-    def with_residual(self) -> "HardyAngles":
-        rn = float(np.linalg.norm(hardy_residuals(self)))
-        return HardyAngles(self.theta, *self.as_array().tolist(), residual_norm=rn, diverged=self.diverged)
-
-    def solved(self, tol: float = 1e-10) -> bool:
-        return self.residual_norm < tol
-
 
 def hardy_residuals(angles: HardyAngles) -> np.ndarray:
     """The 13 constraint residuals (LHS - RHS) at the angles, one per scalar
@@ -395,8 +388,7 @@ def solve_hardy(theta: float, *, starts: int = 32, seed: int = 20240901) -> Hard
     """Least-squares solve of the 13-equation angle system at one theta: the
     angles of the one-point scan_hardy, with their certified residual_norm
     and the count of starts whose cost went non-finite; the caller decides
-    what residual_norm it will accept.  A lone theta has no neighbours to
-    continue from, so it can miss a solution that a grid scan finds.
+    what residual_norm it will accept.
     """
     return scan_hardy([theta], starts=starts, seed=seed)[0].angles
 
@@ -406,7 +398,7 @@ class HardyScanRow:
     theta: float
     angles: HardyAngles
     solved: bool
-    failing: tuple  # (label, residual) pairs above tolerance, worst first
+    failing: tuple  # (label, residual) pairs of the failing equations, worst first
 
     @property
     def diverged(self) -> int:
@@ -429,6 +421,13 @@ class HardyScanRow:
 # grid.  The 19-point 0..90 degree grid at 32 starts (608 rows) is one call.
 _SCAN_MAX_ROWS = 1024
 
+# A lone theta is solved with an unreported companion point this far above it.
+_LONE_COMPANION_OFFSET = math.radians(5.0)
+
+# Below this share of its row's norm, a residual moves with where the solver
+# stops (0:90:19, seeds 0-9: every one is <= 4.9e-9 or >= 5.5e-5 of the norm).
+_FAILING_SHARE = 1e-6
+
 
 def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1e-10) -> list:
     """Solve across a theta grid in two batched passes.
@@ -438,19 +437,23 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
     carried per row.  Pass 2 is one more call that restarts each point from
     pass 1's best at both of its grid neighbours: a root found at one theta
     is a good start at the next, and the restart from theta_1 is what
-    certifies theta = 0 at seeds whose own starts miss it.  In grid order,
-    each point then takes the best iterate of both passes, ties within
-    1e-12 breaking toward the previous point's answer, then toward the
-    smallest angle-vector norm.  Calls are capped at _SCAN_MAX_ROWS rows.
+    certifies theta = 0 at seeds whose own starts miss it; a lone theta gets
+    it from its companion (seed + 1).  In grid order, each point then takes
+    the best iterate of both passes, ties within 1e-12 breaking toward the
+    previous point's answer, then toward the smallest angle-vector norm.
+    Calls are capped at _SCAN_MAX_ROWS rows.
 
-    Every grid point is reported; points the solver cannot certify below
-    `tol` are flagged with the failing equations, never hidden.  Raises
-    ValueError when starts < 1 and HardySolverError when every start at a
-    point diverged.
+    Every grid point is reported, solved iff its residual norm is below
+    `tol`; equation i fails, listed worst first, iff |r_i| > max(tol,
+    _FAILING_SHARE * norm).  Raises ValueError when starts < 1 and
+    HardySolverError when every start at a point diverged.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    reported = len(thetas)
+    if reported == 1:
+        thetas = np.append(thetas, thetas[0] + _LONE_COMPANION_OFFSET)
     # Per point: the near-best iterates so far, their norms, and the counts of
     # diverged and of all starts.
     found = [(np.empty((0, 7)), np.empty(0), 0, 0) for _ in thetas]
@@ -478,7 +481,7 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
         run(np.repeat(points, starts), x0)
 
     firsts = [min(near, key=np.linalg.norm) if len(near) else None for near, *_ in found]
-    restarts = [(i, firsts[j]) for i in range(len(thetas)) for j in (i - 1, i + 1)
+    restarts = [(i, firsts[j]) for i in range(reported) for j in (i - 1, i + 1)
                 if 0 <= j < len(thetas) and firsts[j] is not None]
     for lo in range(0, len(restarts), _SCAN_MAX_ROWS):
         chunk = restarts[lo:lo + _SCAN_MAX_ROWS]
@@ -486,21 +489,22 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
 
     rows = []
     prev = None
-    for i, (theta, (near, _, diverged, total)) in enumerate(zip(thetas.tolist(), found)):
+    for i, (theta, (near, _, diverged, total)) in enumerate(zip(thetas[:reported].tolist(), found)):
         if not len(near):
-            best = HardyAngles(theta, *_wrap_angles(np.pi * _sobol_points(1, seed + i)[0]).tolist())
+            x = _wrap_angles(np.pi * _sobol_points(1, seed + i)[0])
+            norm = float(np.linalg.norm(hardy_kernel.residuals(x, theta)))
             raise HardySolverError(f"all {total} starts diverged at theta={theta!r}",
-                                   best=best.with_residual())
+                                   best=HardyAngles(theta, *x.tolist(), residual_norm=norm))
         # The near-best iterate closest (wrapped) to the previous point's answer.
         key = np.linalg.norm if prev is None else (
             lambda x: (np.linalg.norm(_wrap_angles(x - prev)), np.linalg.norm(x)))
         chosen = min(near, key=key)
         res = hardy_kernel.residuals(chosen, theta)  # the one residual evaluation at this point
-        angles = HardyAngles(theta, *chosen.tolist(), residual_norm=float(np.linalg.norm(res)),
-                             diverged=diverged)
-        failing = tuple(sorted(((lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res) if abs(r) > tol),
-                               key=lambda lr: -abs(lr[1])))
-        rows.append(HardyScanRow(theta, angles, angles.solved(tol), failing))
+        norm = float(np.linalg.norm(res))
+        failing = sorted(((lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res)
+                          if abs(r) > max(tol, _FAILING_SHARE * norm)), key=lambda lr: -abs(lr[1]))
+        angles = HardyAngles(theta, *chosen.tolist(), residual_norm=norm, diverged=diverged)
+        rows.append(HardyScanRow(theta, angles, norm < tol, tuple(failing)))
         prev = chosen
     return rows
 

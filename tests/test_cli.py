@@ -6,6 +6,7 @@ import ast
 import errno
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -115,6 +116,11 @@ def test_model_hardy_solved_and_unsolved(tmp_path):
                    "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["meta"]["failing"]
+    # The failing equations are the scan row's, worst first.
+    assert run_cli("model", "--which", "hardy", "--theta", "30", "--unit", "deg",
+                   "--out", str(out)) == 0
+    failing = [(f["label"], f["residual"]) for f in json.loads(out.read_text())["meta"]["failing"]]
+    assert failing == list(lrmodel.scan_hardy([math.pi / 6])[0].failing)
 
 
 def test_solve_hardy_grid(tmp_path):
@@ -336,7 +342,10 @@ def test_a_failing_formatter_process_exits_three_without_an_artifact(tmp_path, m
 # SHA-256 of artifacts as written before the integer-threshold draws and the
 # chunked CSV formatter; both changes must leave every byte as it was. The
 # Hardy-solver pins (compare, model hardy, solve-hardy) were re-taken with the
-# analytic-Jacobian kernel, whose iterates stop at points of equal norm.
+# analytic-Jacobian kernel, whose iterates stop at points of equal norm. The
+# compare JSON and uncertified model-hardy pins were re-taken once more when
+# every failing list became the scan row's: judged against the residual norm,
+# worst first.
 SINGLET_MC = ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
               "--trials", "1000003", "--seed", "0")
 PINNED_ARTIFACTS = [
@@ -354,7 +363,7 @@ PINNED_ARTIFACTS = [
     # per-row csv.writer route, before the column-backed report and its
     # template writer.
     (("compare", "--state", "all", "--samples", "20", "--seed", "7"), "compare.json",
-     "556db8e811a80b87bcf4e3f4bab8ddd9456269707bc984f2a79a225e50187a2f"),
+     "5d88e2ad90c003b496b3926c96b9053693080ef4d32d977d1d0e5a46a1f1f4e1"),
     (("compare", "--state", "all", "--samples", "20", "--seed", "7", "--format", "csv"),
      "compare.csv", "707b9c4668bc5a3ba00ae4b6cea10566398146f1ea83d03fc0bcb664fbd37c4b"),
     (("identities", "--samples", "200"), "identities.json",
@@ -364,7 +373,7 @@ PINNED_ARTIFACTS = [
      "2b4fb9f17a5dba9d95eacecfeefddd8b073c81522ffa05debe1df255b41d535f"),
     # theta = 30 deg does not certify, so this is the .info rewrite.
     (("model", "--which", "hardy", "--theta", "30", "--unit", "deg"), "hardy.json",
-     "b3d45853bdfe8aa541147018d522e6a914ab86c162eaa8b0e2c27ffb9a483365"),
+     "47ba0494310528a8488a6896bd69be753de7f995d1edf681f20060e87162ce4b"),
     (("qm", "--state", "hardy", "--theta", "45", "--unit", "deg", "--format", "csv"),
      "hardy_amplitudes.csv", "3d039c9fb0b3aefbc0a5b53848ceec3c028a06754ebdf92951971006a53ee696"),
     # qm, model and mc artifacts of every setting, as written while each
@@ -387,7 +396,7 @@ PINNED_ARTIFACTS = [
     (("model", "--which", "hardy", "--theta", "0", "--unit", "deg"), "hardy0.json",
      "b91d73f4253be8e6f9f3f669e54e91915125b410eee0df65f68f238f6f1bbbf7"),
     (("model", "--which", "hardy", "--theta", "30", "--unit", "deg", "--unswapped-b-minus"),
-     "hardy30u.json", "9beeee79e7026e6573a3f0a57a45a27dab72b4279681ff9eb47614b203c22f25"),
+     "hardy30u.json", "b601e8067013ca6b31d7818a8087b45259f6d263593bb81d22e9a8b92195e1b9"),
     (("mc", "--experiment", "chsh", "--angles", "0,90,45,135", "--unit", "deg",
       "--trials", "100001", "--seed", "3"), "mc_chsh.json",
      "befd755a892c94e4a3f1a523c84c4fbd57c63c7b76e9095d7d51afc65eb07c6d"),
@@ -701,8 +710,8 @@ def test_uncertified_hardy_info_rows_take_their_verdict_from_the_columns(tmp_pat
     # A NaN .info row is a mismatch, like every other NaN row; being a
     # measurement (infinite tolerance), it still never gates.
     nan = float("nan")
-    monkeypatch.setattr(lrmodel, "solve_hardy", lambda theta, **_: lrmodel.HardyAngles(
-        theta, *[nan] * 7, residual_norm=nan))
+    monkeypatch.setattr(lrmodel, "scan_hardy", lambda thetas, **_: [lrmodel.HardyScanRow(
+        thetas[0], lrmodel.HardyAngles(thetas[0], *[nan] * 7, residual_norm=nan), False, ())])
     out = tmp_path / "h.json"
     assert run_cli("model", "--which", "hardy", "--theta", "30", "--unit", "deg",
                    "--out", str(out)) == 0
@@ -765,6 +774,28 @@ def test_parse_errors_return_two_with_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("model", "--which", "chsh", "--angles", "0,90,225,135", "--unit", "deg", "--starts", "5",
+      "--unswapped-b-minus", "--theta", "3"), None, "--theta is read only for --which hardy"),
+    (("model", "--which", "hardy", "--theta", "30", "--unit", "deg", "--strict-table",
+      "--mode", "table"), None, "--mode is read only for --which ghz3 or ghz4"),
+    (("model", "--which", "chsh", "--angles", "0,90,225,135", "--unit", "deg"), {"starts": 32},
+     "--starts is read only for --which hardy"),
+    (("model", "--which", "ghz4", "--angles", "30,10,70,20,110,30,150,40", "--unit", "deg"),
+     {"alpha": 20}, "--alpha is read only for --which ghz3"),
+], ids=("hardy-flags-for-chsh", "ghz-flags-for-hardy", "config-starts", "config-alpha"))
+def test_model_flags_that_do_not_fit_which_exit_two(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ("--config", str(path))
+    out = tmp_path / "never.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -952,9 +983,8 @@ def _row(label, residual, tolerance):
     return ComparisonRow(label, residual, 0.0, residual, tolerance, verdict)
 
 
-def _emit(rows, strict_table=False, tolerances=compare.DEFAULT_TOLERANCES):
-    args = argparse.Namespace(out=None, format=None, strict_table=strict_table)
-    return cli._emit(args, ComparisonReport(rows), tolerances)
+def _emit(rows):
+    return cli._emit(argparse.Namespace(out=None, format=None), ComparisonReport(rows))
 
 
 def test_a_finite_tolerance_mismatch_gates(capsys):
@@ -977,14 +1007,20 @@ def test_nan_residual_in_a_gated_row_gates(capsys):
     assert "max gated |residual| = nan (b)" in capsys.readouterr().out
 
 
-def test_strict_table_gates_the_table_vs_pinned_rows(capsys):
-    rows = [_row("ghz4.pinned_z_vs_oracle[0]", 1e-16, 1e-12),
-            _row("ghz4.table_vs_pinned_z[0]", 0.2, float("inf"))]
-    assert _emit(rows) == 0
-    assert _emit(rows, strict_table=True) == 1
-    assert "MISMATCH ghz4.table_vs_pinned_z[0]:" in capsys.readouterr().out
-    loose = dict(compare.DEFAULT_TOLERANCES, algebraic=1.0)
-    assert _emit(rows, strict_table=True, tolerances=loose) == 0
+def test_strict_table_gates_the_table_vs_pinned_rows(tmp_path):
+    # --strict-table is written into the artifact, whose finite-tolerance
+    # mismatches alone give the exit status.
+    out = tmp_path / "s.json"
+    for tolerance, held, verdict in (((), 1e-12, "mismatch"),
+                                     (("--tolerance", "algebraic=1"), 1.0, "match")):
+        code = run_cli("compare", "--state", "ghz4", "--samples", "10", "--seed", "3",
+                       "--strict-table", *tolerance, "--out", str(out))
+        rows = ComparisonReport.from_json(out.read_text()).rows
+        table = [r for r in rows if "table_vs_pinned_z" in r.label]
+        assert len(table) == 10
+        assert all(r.tolerance == held and r.verdict == verdict for r in table)
+        gated = any(r.verdict == "mismatch" and math.isfinite(r.tolerance) for r in rows)
+        assert code == int(gated) == int(verdict == "mismatch")
 
 
 def test_summary_reports_the_largest_gated_residual(capsys):

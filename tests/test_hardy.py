@@ -74,16 +74,16 @@ def test_first_constraint_at_symmetric_point():
 
 
 def test_residual_norm_self_consistency():
-    angles = _random_angles().with_residual()
-    assert angles.residual_norm == pytest.approx(
-        float(np.linalg.norm(lrmodel.hardy_residuals(angles))), abs=1e-12
+    (row,) = lrmodel.scan_hardy([0.3])
+    assert row.angles.residual_norm == pytest.approx(
+        float(np.linalg.norm(lrmodel.hardy_residuals(row.angles))), abs=1e-12
     )
 
 
 def test_solve_at_symmetric_point():
     angles = lrmodel.solve_hardy(0.0)
     assert angles.residual_norm < 1e-10
-    assert angles.solved()
+    assert lrmodel.scan_hardy([0.0])[0].solved
 
 
 def test_solved_angles_reproduce_headline_predictions():
@@ -96,8 +96,8 @@ def test_solved_angles_reproduce_headline_predictions():
 
 def test_perturbed_solution_is_detected():
     angles = lrmodel.solve_hardy(0.0)
-    bumped = HardyAngles(0.0, angles.alpha + 0.1, *(angles.as_array()[1:])).with_residual()
-    assert bumped.residual_norm > 1e-3
+    bumped = HardyAngles(0.0, angles.alpha + 0.1, *(angles.as_array()[1:]))
+    assert np.linalg.norm(lrmodel.hardy_residuals(bumped)) > 1e-3
 
 
 def test_solver_failure_carries_best_iterate():
@@ -368,7 +368,7 @@ def test_solver_makes_one_kernel_call_per_iteration(monkeypatch):
 
     monkeypatch.setattr(hardy_kernel, "gram_triangle", counted("kernel", kernel))
     monkeypatch.setattr(lrmodel, "_batched_solve", counted("solve", solve))
-    lrmodel.solve_hardy(0.3, seed=3)
+    lrmodel._solve_lm(np.pi * lrmodel._sobol_points(32, 3), 0.3)
     # One call at the starts, then one per iteration (one solve each).
     assert counts["solve"] > 10 and counts["kernel"] == counts["solve"] + 1
 
@@ -438,12 +438,34 @@ def test_scan_of_the_19_point_grid_is_one_call_per_pass(monkeypatch):
     assert calls == [19 * 32, 2 * 18]
 
 
-def test_one_point_scan_has_no_continuation_pass(monkeypatch):
+def test_one_point_scan_restarts_from_its_companion(monkeypatch):
+    # Pass 1 solves the lone theta and its companion; pass 2 restarts only
+    # the lone theta, from the companion's best.
     calls = _count_solver_calls(monkeypatch)
     (row,) = lrmodel.scan_hardy([0.0], seed=11)
-    assert calls == [32]
+    assert calls == [2 * 32, 1]
     assert row.angles == lrmodel.solve_hardy(0.0, seed=11)
     assert row.diverged == 0
+
+
+@pytest.mark.parametrize("seed", [41065, 42814])
+def test_lone_theta_zero_certifies_where_its_own_starts_miss(seed):
+    # These seeds' 32 Sobol' starts at theta = 0 all stall near 0.767.
+    assert lrmodel.solve_hardy(0.0, seed=seed).residual_norm < 1e-12
+
+
+def test_failing_labels_do_not_follow_the_stopping_rule(monkeypatch):
+    # Where LM stops along a flat valley moves with ftol; which equations
+    # fail is a property of the system and must not.
+    def labels():
+        return [[{label for label, _ in row.failing}
+                 for row in lrmodel.scan_hardy(CANONICAL_THETAS, seed=seed)] for seed in range(10)]
+
+    want = labels()
+    ftol = lrmodel._LM_FTOL
+    for scale in (0.5, 2.0):
+        monkeypatch.setattr(lrmodel, "_LM_FTOL", scale * ftol)
+        assert labels() == want, scale
 
 
 def test_scan_peak_memory_does_not_grow_with_the_grid(monkeypatch):
