@@ -138,10 +138,9 @@ CONFIG_LISTS = {"angles": ((str, list), "a string or a list"), "tolerance": ((li
 
 
 # The model flags that only some --which settings read: dest -> those settings.
-# --table is not among them: it names a table that must exist for every one.
 MODEL_FLAG_SETTINGS = {
     "theta": ("hardy",), "starts": ("hardy",), "unswapped_b_minus": ("hardy",),
-    "mode": ("ghz3", "ghz4"), "strict_table": ("ghz3", "ghz4"),
+    "mode": ("ghz3", "ghz4"), "strict_table": ("ghz3", "ghz4"), "table": ("ghz3", "ghz4"),
     "angles": tuple(mcsim.EXPERIMENTS),
     **{name: tuple(kind for kind, spec in mcsim.EXPERIMENTS.items() if name in spec.numbers)
        for name in ("alpha", "delta")},
@@ -194,6 +193,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             if current is None or (current is False and isinstance(value, bool)):
                 setattr(args, attr, value)
     if args.command == "model":  # before the defaults fill --starts and --mode
+        if args.table is not None:
+            get_table(args.table)  # an unknown table is named before a table off ghz3/ghz4
         for dest, settings in MODEL_FLAG_SETTINGS.items():
             if getattr(args, dest) not in (None, False) and args.which not in settings:
                 raise UsageError(f"--{dest.replace('_', '-')} is read only for --which "
@@ -384,8 +385,6 @@ def cmd_qm(args) -> int:
 
 def cmd_model(args) -> int:
     tol = _tolerances(args)
-    if args.table is not None:
-        get_table(args.table)  # a ValueError for a table that does not exist
     if args.which == "hardy":
         report = compare.model_hardy_report(_theta(args), args.starts, args.seed,
                                             not args.unswapped_b_minus, tol)

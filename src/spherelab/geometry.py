@@ -25,6 +25,17 @@ def require_units(v, dim: int = 3, name: str = "direction", tol: float = UNIT_TO
     return arr
 
 
+def dot(x, y) -> np.ndarray:
+    """x . y over the last axis, summed in component order by plain multiplies
+    and adds; the leading (broadcast) shape. No BLAS call, so the bits depend
+    neither on the CPU's BLAS kernel nor on the stack's length or layout."""
+    x, y = np.asarray(x), np.asarray(y)
+    total = x[..., 0] * y[..., 0]
+    for i in range(1, x.shape[-1]):
+        total = total + x[..., i] * y[..., i]
+    return total
+
+
 def require_unit(v, dim: int = 3, name: str = "direction", tol: float = UNIT_TOL) -> np.ndarray:
     """Validate one unit vector of shape (dim,) to within `tol` of norm 1 and
     return it as float array."""

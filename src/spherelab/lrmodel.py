@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hardy_kernel, qmref
-from .geometry import coplanar_direction, require_unit, require_units
+from .geometry import coplanar_direction, dot, require_unit, require_units
 from .report import ComparisonReport
 from .sphere7 import CrossTable, cross7, embed_ghz3, embed_ghz4, get_table, z_deviation
 
@@ -82,8 +82,10 @@ class DecompositionResult:
 
 def _inner(x, y) -> np.ndarray:
     """x . y over the last axis, kept as a length-1 axis. Each row is one BLAS
-    inner product, the same bits as np.dot on that row, so a batched kernel
-    and its one-row wrapper give the values a per-row np.dot gave."""
+    inner product, the same bits as np.dot on that row: acceptance criterion
+    10 asserts that the Monte Carlo singlet mean is exactly -np.dot(a, b), and
+    on some BLAS kernels np.dot of 3-vectors is not the in-order sum, so the
+    S^3 correlations keep np.dot's bits rather than geometry.dot's."""
     return (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0]
 
 
@@ -444,8 +446,9 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
     Calls are capped at _SCAN_MAX_ROWS rows.
 
     Every grid point is reported, solved iff its residual norm is below
-    `tol`; equation i fails, listed worst first, iff |r_i| > max(tol,
-    _FAILING_SHARE * norm).  Raises ValueError when starts < 1 and
+    `tol`. A solved point lists no failing equation; at any other, equation i
+    fails, listed worst first, iff |r_i| > _FAILING_SHARE * norm, so at least
+    one does (max |r_i| >= norm / sqrt(13)) whatever `tol` is.  Raises ValueError when starts < 1 and
     HardySolverError when every start at a point diverged.
     """
     if starts < 1:
@@ -501,10 +504,12 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
         chosen = min(near, key=key)
         res = hardy_kernel.residuals(chosen, theta)  # the one residual evaluation at this point
         norm = float(np.linalg.norm(res))
-        failing = sorted(((lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res)
-                          if abs(r) > max(tol, _FAILING_SHARE * norm)), key=lambda lr: -abs(lr[1]))
+        solved = norm < tol
+        failing = [] if solved else [(lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res)
+                                     if abs(r) > _FAILING_SHARE * norm]
+        failing.sort(key=lambda lr: -abs(lr[1]))
         angles = HardyAngles(theta, *chosen.tolist(), residual_norm=norm, diverged=diverged)
-        rows.append(HardyScanRow(theta, angles, norm < tol, tuple(failing)))
+        rows.append(HardyScanRow(theta, angles, solved, tuple(failing)))
         prev = chosen
     return rows
 
@@ -604,16 +609,16 @@ def ghz_kernel(embedded, prod_z, table: CrossTable | None = None):
     axis of 7; prod_z broadcasts against the leading shape.
     """
     v1, v2, v3, v4 = np.moveaxis(np.asarray(embedded, dtype=float), -2, 0)
-    d12, d34 = _inner(v1, v2), _inner(v3, v4)
+    d12, d34 = dot(v1, v2), dot(v3, v4)
     c12, c34 = cross7(v1, v2, table), cross7(v3, v4, table)
-    expansion = _inner(v1, v3) * _inner(v2, v4) - _inner(v1, v4) * _inner(v2, v3)
+    expansion = dot(v1, v3) * dot(v2, v4) - dot(v1, v4) * dot(v2, v3)
     # v1 . Z meets only v1's e3 slot. An e7 term in Z would never contribute,
     # because v1 (N1 for ghz4, the reference point for ghz3) has an empty e7 slot.
-    pinned = d12 * d34 - (expansion + v1[..., 2:3] * np.asarray(prod_z)[..., None])
-    value_table = d12 * d34 - _inner(c12, c34)
-    lagrange = d12 * d34 - (expansion + _inner(v1, z_deviation(v2, v3, v4, table)))
-    deviation = d34 * c12 + d12 * c34 - cross7(c12, c34, table)
-    return pinned[..., 0], value_table[..., 0], lagrange[..., 0], deviation
+    pinned = d12 * d34 - (expansion + v1[..., 2] * prod_z)
+    value_table = d12 * d34 - dot(c12, c34)
+    lagrange = d12 * d34 - (expansion + dot(v1, z_deviation(v2, v3, v4, table)))
+    deviation = d34[..., None] * c12 + d12[..., None] * c34 - cross7(c12, c34, table)
+    return pinned, value_table, lagrange, deviation
 
 
 def ghz_report(prefix: str, oracle, values, tol: float, meta: dict,
@@ -621,7 +626,7 @@ def ghz_report(prefix: str, oracle, values, tol: float, meta: dict,
     """The four comparison rows of each tuple of a ghz_kernel result, in tuple
     order; labels get the tuple index as a [i] suffix when indexed."""
     pinned, value_table, lagrange, deviation = values
-    magnitude = np.sqrt(_inner(deviation, deviation)[..., 0])
+    magnitude = np.sqrt(dot(deviation, deviation))
     suffixes = [f"[{i}]" for i in range(len(pinned))] if indexed else [""]
     return ComparisonReport(meta=meta).add(
         [f"{prefix}.{name}{at}" for at in suffixes for name in (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import coplanar_direction, require_unit, require_units
+from .geometry import coplanar_direction, dot, require_unit, require_units
 
 NORM_TOL = 1e-12
 
@@ -83,8 +83,10 @@ class SpinObservable:
 
 
 def spin_matrix(n) -> np.ndarray:
-    nx, ny, nz = require_unit(n)
-    return np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+    """sigma . n for a unit direction, or a (..., 3) stack of them: (..., 2, 2)."""
+    n = require_units(n)
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    return np.stack((nz, nx - 1j * ny, nx + 1j * ny, -nz), axis=-1).reshape(n.shape[:-1] + (2, 2))
 
 
 def singlet_state() -> StateVector:
@@ -135,11 +137,6 @@ def general_state(amplitudes) -> StateVector:
     return StateVector(n, amps)
 
 
-# Rows are sigma_x, sigma_y, sigma_z flattened, so n @ _PAULI is sigma . n
-# flattened; each entry (nz, nx - i ny, nx + i ny, -nz) comes out exact.
-_PAULI = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
-
-
 def _contraction(k: int, batch: str = "") -> str:
     """einsum subscripts for <psi| M_1 (x) ... (x) M_k |psi> over a batch z:
     conj(psi)[rows], one (z, row, col) matrix per site, psi[cols] -> z. With
@@ -162,8 +159,7 @@ def expectations(state, directions) -> np.ndarray:
     if dirs.ndim != 3 or dirs.shape[1:] != (k, 3) or amps.shape[:-1] not in ((), dirs.shape[:1]):
         raise ValueError(f"expected an (N, {k}, 3) direction stack for {amps.shape} "
                          f"amplitudes, got shape {dirs.shape}")
-    require_units(dirs)
-    m = (dirs @ _PAULI).reshape(dirs.shape[:-1] + (2, 2))
+    m = spin_matrix(dirs)
     psi = amps.reshape(amps.shape[:-1] + (2,) * k)
     vals = np.einsum(_contraction(k, "z" * (amps.ndim - 1)), psi.conj(),
                      *(m[:, i] for i in range(k)), psi)
@@ -198,14 +194,15 @@ def _site_vector(setting: str, theta: float) -> np.ndarray:
 
 def hardy_amplitudes(thetas) -> np.ndarray:
     """<psi_hardy(theta) | site1 (x) site2> for every HARDY_PAIRS pair at each
-    theta, via explicit basis rotation: a (T, 16) array from one batched
-    product of each state with its sixteen two-site product vectors."""
+    theta, via explicit basis rotation: a (T, 16) array, each entry the four
+    products of the state with a two-site product vector added in basis
+    order. The Hardy amplitudes are real, so <psi| is their real part."""
     thetas = np.asarray(thetas, dtype=float).tolist()
     psi = np.array([hardy_state(t).amplitudes for t in thetas])
     # Both sides' settings are (+, -, '+, '-), so they share their vectors.
     sites = np.array([[_site_vector(s, t) for s in SITE1_SETTINGS] for t in thetas])
     products = (sites[:, :, None, :, None] * sites[:, None, :, None, :]).reshape(-1, 16, 4)
-    return (psi.conj()[:, None, :] @ products.transpose(0, 2, 1))[:, 0, :].real
+    return dot(psi.real[:, None, :], products)
 
 
 def hardy_amplitude(theta: float, site1: str, site2: str) -> float:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import require_units
+from .geometry import dot, require_units
 
 # Cyclic convention (i, i+1, i+3) mod 7: e1 x e2 = e4, etc.
 DEFAULT_TRIPLES = (
@@ -63,7 +63,7 @@ DEFAULT_TRIPLES = (
 @dataclass(frozen=True)
 class CrossTable:
     """The cross product e_i x e_j = sum_k f_ijk e_k of a structure-constant
-    table f, held as the signed scatter of the 21 index pairs.
+    table f, held as each output slot's three index pairs.
 
     Built from 7 signed triples (1-based indices; a negative third entry k
     means e_i x e_j = -e_|k|).  Total antisymmetry is imposed on each
@@ -77,13 +77,11 @@ class CrossTable:
     triples: tuple[tuple[int, int, int], ...]
     _ii: np.ndarray = field(init=False, repr=False, compare=False)
     _jj: np.ndarray = field(init=False, repr=False, compare=False)
-    _scatter: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen_pairs = set()
-        ii, jj, kk, signs = [], [], [], []
+        slots = [[] for _ in range(7)]
         for i, j, k in self.triples:
-            sign = 1.0 if k > 0 else -1.0
             i0, j0, k0 = i - 1, j - 1, abs(k) - 1
             if len({i0, j0, k0}) != 3 or not all(0 <= m < 7 for m in (i0, j0, k0)):
                 raise ValueError(f"bad triple {(i, j, k)!r}")
@@ -92,20 +90,14 @@ class CrossTable:
                 if pair in seen_pairs:
                     raise ValueError(f"index pair {sorted(p + 1 for p in pair)} covered twice")
                 seen_pairs.add(pair)
-                ii.append(a)
-                jj.append(b)
-                kk.append(c)
-                signs.append(sign)
+                # Slot c gains sign * (x_a y_b - x_b y_a); a minus sign swaps a and b.
+                slots[c].append((a, b) if k > 0 else (b, a))
         if len(seen_pairs) != 21:
             raise ValueError("triples must cover all 21 index pairs")
-        # Signed scatter: pair p adds signs[p] * (x_i y_j - x_j y_i) to slot k.
-        scatter = np.zeros((21, 7))
-        scatter[np.arange(21), kk] = signs
-        for name, value in (
-            ("_ii", np.array(ii)),
-            ("_jj", np.array(jj)),
-            ("_scatter", scatter),
-        ):
+        # Covering every pair once puts each index in three triples, so each
+        # slot has three pairs: (7, 3) tables of their first and second index.
+        for name, value in (("_ii", np.array([[a for a, _ in s] for s in slots])),
+                            ("_jj", np.array([[b for _, b in s] for s in slots]))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -145,22 +137,14 @@ def cross7(x, y, table: CrossTable | None = None) -> np.ndarray:
     """Seven-dimensional cross product under the given table (broadcasts over
     leading axes).
 
-    Evaluated as sign * (x_i y_j - x_j y_i) over the 21 covered index pairs,
-    which makes antisymmetry and x cross x = 0 exact in floating point, not
-    just up to roundoff.
+    Each output slot is the sum, in table order, of its three signed pair
+    terms x_i y_j - x_j y_i, which makes antisymmetry and x cross x = 0
+    exact in floating point, not just up to roundoff.
     """
     t = get_table(table)
     x, y = np.asarray(x, float), np.asarray(y, float)
-    return (x[..., t._ii] * y[..., t._jj] - x[..., t._jj] * y[..., t._ii]) @ t._scatter
-
-
-_ONES7 = np.ones((7, 1))
-
-
-def _dot(x, y) -> np.ndarray:
-    """Dot product of 7-vectors over the last axis, kept as a length-1 axis
-    (broadcasts; array-likes are converted)."""
-    return np.multiply(x, y) @ _ONES7
+    terms = x[..., t._ii] * y[..., t._jj] - x[..., t._jj] * y[..., t._ii]
+    return terms[..., 0] + terms[..., 1] + terms[..., 2]
 
 
 @dataclass(frozen=True)
@@ -189,7 +173,8 @@ def _oct_components(p, q, table: CrossTable | None = None) -> np.ndarray:
     p, q = np.asarray(p, float), np.asarray(q, float)
     a, x = p[..., :1], p[..., 1:]
     b, y = q[..., :1], q[..., 1:]
-    return np.concatenate((a * b - _dot(x, y), a * y + b * x - cross7(x, y, table)), axis=-1)
+    return np.concatenate((a * b - dot(x, y)[..., None], a * y + b * x - cross7(x, y, table)),
+                          axis=-1)
 
 
 def oct_product(p: SevenPoint, q: SevenPoint, table: CrossTable | None = None) -> SevenPoint:
@@ -206,8 +191,8 @@ def z_deviation(n2, n3, n4, table: CrossTable | None = None) -> np.ndarray:
     """
     return (
         cross7(n2, cross7(n3, n4, table), table)
-        - n3 * _dot(n2, n4)
-        + n4 * _dot(n2, n3)
+        - n3 * dot(n2, n4)[..., None]
+        + n4 * dot(n2, n3)[..., None]
     )
 
 
@@ -215,14 +200,14 @@ def lagrange_residual(n1, n2, n3, n4, table: CrossTable | None = None):
     """Defect of the generalized Lagrange identity; identically ~0 for any
     table with the mixed-product property.  A float for one quadruple, an
     array of the leading shape for stacks."""
-    lhs = _dot(cross7(n1, n2, table), cross7(n3, n4, table))
+    lhs = dot(cross7(n1, n2, table), cross7(n3, n4, table))
     rhs = (
-        _dot(n1, n3) * _dot(n2, n4)
-        - _dot(n1, n4) * _dot(n2, n3)
-        + _dot(n1, z_deviation(n2, n3, n4, table))
+        dot(n1, n3) * dot(n2, n4)
+        - dot(n1, n4) * dot(n2, n3)
+        + dot(n1, z_deviation(n2, n3, n4, table))
     )
-    residual = (lhs - rhs)[..., 0]
-    return float(residual) if residual.ndim == 0 else residual
+    residual = lhs - rhs
+    return float(residual) if np.ndim(residual) == 0 else residual
 
 
 def jacobiator(x, y, z, table: CrossTable | None = None) -> np.ndarray:
@@ -234,26 +219,17 @@ def jacobiator(x, y, z, table: CrossTable | None = None) -> np.ndarray:
     )
 
 
-def _embedding(signs: tuple[int, int, int], slots: tuple[int, int, int]) -> np.ndarray:
-    """The (3, 7) matrix E for which n @ E puts sign_i * n_i in slot_i (1-based)."""
-    e = np.zeros((3, 7))
-    e[[0, 1, 2], [slot - 1 for slot in slots]] = signs
-    e.setflags(write=False)
-    return e
+# Per embedded direction: the signs of its (x, y, z) components and the
+# 1-based slot of its z component; x and y always go to slots 1 and 2.
+_GHZ4_SLOTS = (((-1, 1, -1), 3), ((1, 1, 1), 4), ((1, 1, 1), 5), ((1, -1, -1), 6))
+_GHZ3_SLOTS = (((-1, 1, -1), 3), ((1, 1, 1), 4), ((1, -1, -1), 5), ((-1, -1, 1), 6))
 
 
-_GHZ4_EMBEDDINGS = (
-    _embedding((-1, 1, -1), (1, 2, 3)),
-    _embedding((1, 1, 1), (1, 2, 4)),
-    _embedding((1, 1, 1), (1, 2, 5)),
-    _embedding((1, -1, -1), (1, 2, 6)),
-)
-_GHZ3_EMBEDDINGS = (
-    _embedding((-1, 1, -1), (1, 2, 3)),
-    _embedding((1, 1, 1), (1, 2, 4)),
-    _embedding((1, -1, -1), (1, 2, 5)),
-    _embedding((-1, -1, 1), (1, 2, 6)),
-)
+def _embed(n: np.ndarray, signs: tuple[int, int, int], z_slot: int) -> np.ndarray:
+    """The (..., 7) stack holding sign_i * n_i in slots 1, 2 and z_slot."""
+    out = np.zeros(n.shape[:-1] + (7,))
+    out[..., [0, 1, z_slot - 1]] = n * signs
+    return out
 
 
 def embed_ghz4(n1, n2, n3, n4) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -267,7 +243,7 @@ def embed_ghz4(n1, n2, n3, n4) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     Unit inputs give unit outputs (each is a signed permutation of components).
     Each direction may be a (..., 3) stack; the outputs are (..., 7).
     """
-    return tuple(require_units(n) @ e for n, e in zip((n1, n2, n3, n4), _GHZ4_EMBEDDINGS))
+    return tuple(_embed(require_units(n), *e) for n, e in zip((n1, n2, n3, n4), _GHZ4_SLOTS))
 
 
 def ghz3_reference_direction(alpha, delta) -> np.ndarray:
@@ -296,4 +272,4 @@ def embed_ghz3(
     """
     n0 = ghz3_reference_direction(alpha, delta)
     dirs = (n0,) + tuple(require_units(n) for n in (n1, n2, n3))
-    return tuple(n @ e for n, e in zip(dirs, _GHZ3_EMBEDDINGS))
+    return tuple(_embed(n, *e) for n, e in zip(dirs, _GHZ3_SLOTS))

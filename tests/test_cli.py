@@ -139,6 +139,19 @@ def test_solve_hardy_grid(tmp_path):
     assert doc["rows"][0]["solved"] is True
 
 
+def test_loosened_tolerance_names_a_worst_equation_on_every_flagged_row(tmp_path, capsys):
+    # At 0.3, theta = 30 and 60 deg (norms 0.41 and 0.37) stay uncertified
+    # although every residual there is below the tolerance.
+    out = tmp_path / "scan.json"
+    assert run_cli("solve-hardy", "--theta-grid", "0:90:7", "--unit", "deg",
+                   "--tolerance", "solver_residual=0.3", "--out", str(out)) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["solved"] for row in rows] == [True, True] + [False] * 5
+    assert all(bool(row["failing"]) != row["solved"] for row in rows)
+    flagged = [line for line in capsys.readouterr().out.splitlines() if "FLAGGED" in line]
+    assert len(flagged) == 5 and all(" worst=" in line for line in flagged)
+
+
 def test_solve_hardy_bad_grid():
     assert run_cli("solve-hardy", "--theta-grid", "0:90", "--unit", "deg") == 2
     assert run_cli("solve-hardy", "--theta-grid", "0:90:3") == 2  # no unit
@@ -422,6 +435,74 @@ def test_sweep_artifacts_keep_their_bytes(argv, name, digest, tmp_path):
     out = tmp_path / name
     assert run_cli(*argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# The pinned artifacts that pass neither through the Hardy solver's LAPACK
+# solve nor through the S^3 correlations' np.dot: identities, the GHZ qm,
+# model and mc ones, and the Hardy oracle. No BLAS call makes their bits.
+BLAS_FREE_PINS = ("identities.json", "identities.csv", "qm_ghz3.json", "qm_ghz4.json",
+                  "hardy_amplitudes.csv", "ghz4.json", "model_ghz3.json", "ghz3.csv",
+                  "mc_ghz4.csv")
+
+# Writes each pinned argv's artifact and prints the OpenBLAS core in use and
+# the artifacts' SHA-256 digests as one JSON line.
+_CORE_RUN = """
+import contextlib, ctypes, hashlib, io, json, os, sys, tempfile
+from spherelab import cli
+lib, symbol, argvs = json.loads(sys.argv[1])
+corename = getattr(ctypes.CDLL(lib), symbol)
+corename.restype = ctypes.c_char_p
+digests = []
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in argvs:
+        out = os.path.join(tmp, "artifact")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--out", out]) == 0
+        with open(out, "rb") as f:
+            digests.append(hashlib.sha256(f.read()).hexdigest())
+print(json.dumps([corename().decode(), digests]))
+"""
+
+
+def _openblas_corename():
+    """(library path, symbol) of the OpenBLAS core-name query of numpy's own
+    OpenBLAS, or a pytest skip when OPENBLAS_CORETYPE cannot pick its kernel."""
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not an OpenBLAS built DYNAMIC_ARCH, so its kernel is fixed")
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "lib*openblas*"))
+    for lib in libs:
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename"):
+            if hasattr(ctypes.CDLL(lib), symbol):
+                return lib, symbol
+    pytest.skip("numpy's bundled OpenBLAS library and its core-name query were not found")
+
+
+def test_blas_free_artifacts_keep_their_bytes_on_every_blas_core():
+    lib, symbol = _openblas_corename()
+    pins = {name: (list(argv), digest) for argv, name, digest in PINNED_ARTIFACTS}
+    argvs = [pins[name][0] for name in BLAS_FREE_PINS]
+    runs = {}
+    for core in ("default", "Haswell", "Sandybridge", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if core != "default":
+            env["OPENBLAS_CORETYPE"] = core
+        child = subprocess.run([sys.executable, "-c", _CORE_RUN, json.dumps([lib, symbol, argvs])],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        runs[core] = json.loads(child.stdout)
+    # A forced core that did not take would leave every child on one kernel.
+    assert len({runs[core][0] for core in ("Haswell", "Sandybridge", "Prescott")}) == 3, runs
+    for core, (name, digests) in runs.items():
+        assert dict(zip(BLAS_FREE_PINS, digests)) == {n: pins[n][1] for n in BLAS_FREE_PINS}, (
+            core, name)
 
 
 def test_mc_trials_above_the_counter_range_exit_two(monkeypatch, capsys):
@@ -785,7 +866,12 @@ def test_parse_errors_return_two_with_one_line(argv, capsys):
      "--starts is read only for --which hardy"),
     (("model", "--which", "ghz4", "--angles", "30,10,70,20,110,30,150,40", "--unit", "deg"),
      {"alpha": 20}, "--alpha is read only for --which ghz3"),
-], ids=("hardy-flags-for-chsh", "ghz-flags-for-hardy", "config-starts", "config-alpha"))
+    (("model", "--which", "chsh", "--angles", "0,90,225,135", "--unit", "deg", "--table",
+      "cyclic-124"), None, "--table is read only for --which ghz3 or ghz4, not chsh"),
+    (("model", "--which", "hardy", "--theta", "30", "--unit", "deg"), {"table": "cyclic-124"},
+     "--table is read only for --which ghz3 or ghz4, not hardy"),
+], ids=("hardy-flags-for-chsh", "ghz-flags-for-hardy", "config-starts", "config-alpha",
+        "table-for-chsh", "config-table-for-hardy"))
 def test_model_flags_that_do_not_fit_which_exit_two(argv, config, message, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "config.json"

@@ -7,17 +7,17 @@ solved angles reproduce the joint predictions; interior points do not
 certify and must be flagged with the violated equations, never hidden.
 """
 
+import ast
 import cmath
 import inspect
-import io
 import math
-import tokenize
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
-from spherelab import ga3, hardy_kernel, lrmodel, qmref
+from spherelab import ga3, geometry, hardy_kernel, lrmodel, qmref, sphere7
 from spherelab.lrmodel import HardyAngles, RESIDUAL_LABELS
 
 RNG = np.random.default_rng(505)
@@ -375,12 +375,23 @@ def test_solver_makes_one_kernel_call_per_iteration(monkeypatch):
 
 def test_kernel_and_solver_make_no_blas_call():
     # Matrix products go through the BLAS kernel, whose summation order
-    # changes with the CPU; the residual kernel and the solver loop use none.
-    banned = {"@", "dot", "vdot", "matmul", "inner", "_inner", "tensordot"}
-    for fn in (hardy_kernel.terms, hardy_kernel.gram_triangle, lrmodel._solve_lm):
-        tokens = tokenize.generate_tokens(io.StringIO(inspect.getsource(fn)).readline)
-        used = {t.string for t in tokens if t.type in (tokenize.OP, tokenize.NAME)} & banned
+    # changes with the CPU; the residual kernel, the solver loop and the S^7,
+    # GHZ and oracle kernels use none. A bare `dot` may only be geometry.dot,
+    # the in-order sum, which uses no einsum either.
+    banned = {"dot", "vdot", "matmul", "inner", "_inner", "tensordot"}
+    for fn in (hardy_kernel.terms, hardy_kernel.gram_triangle, lrmodel._solve_lm,
+               geometry.dot, sphere7.cross7, sphere7.z_deviation, sphere7.lagrange_residual,
+               sphere7._oct_components, sphere7.embed_ghz3, sphere7.embed_ghz4, sphere7._embed,
+               lrmodel.ghz_kernel, lrmodel.ghz_report, qmref.spin_matrix, qmref.expectations,
+               qmref.hardy_amplitudes):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        used = {"@" for node in ast.walk(tree) if isinstance(getattr(node, "op", None), ast.MatMult)}
+        used |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in banned}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                 and node.id in banned and fn.__globals__.get(node.id) is not geometry.dot}
         assert not used, (fn.__name__, used)
+    assert "einsum" not in inspect.getsource(geometry.dot)
 
 
 @pytest.mark.parametrize("seed", [41065, 42814])
