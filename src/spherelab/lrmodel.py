@@ -448,8 +448,9 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
     Every grid point is reported, solved iff its residual norm is below
     `tol`. A solved point lists no failing equation; at any other, equation i
     fails, listed worst first, iff |r_i| > _FAILING_SHARE * norm, so at least
-    one does (max |r_i| >= norm / sqrt(13)) whatever `tol` is.  Raises ValueError when starts < 1 and
-    HardySolverError when every start at a point diverged.
+    one does (max |r_i| >= norm / sqrt(13)) whatever `tol` is.  Raises
+    ValueError when starts < 1 and HardySolverError when every start at a
+    point diverged.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")

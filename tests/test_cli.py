@@ -3,16 +3,20 @@ atomic writes, unit handling, config merging."""
 
 import argparse
 import ast
+import ctypes
 import errno
+import glob
 import hashlib
 import json
 import math
 import os
+import platform
 import stat
 import subprocess
 import sys
 from collections.abc import Iterator
 
+import numpy as np
 import pytest
 
 import spherelab.report
@@ -470,11 +474,8 @@ print(json.dumps([corename().decode(), digests]))
 def _openblas_corename():
     """(library path, symbol) of the OpenBLAS core-name query of numpy's own
     OpenBLAS, or a pytest skip when OPENBLAS_CORETYPE cannot pick its kernel."""
-    import ctypes
-    import glob
-
-    import numpy as np
-
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the forced OpenBLAS cores are x86-64 kernels")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
         pytest.skip("numpy's BLAS is not an OpenBLAS built DYNAMIC_ARCH, so its kernel is fixed")

@@ -385,7 +385,8 @@ def test_kernel_and_solver_make_no_blas_call():
                lrmodel.ghz_kernel, lrmodel.ghz_report, qmref.spin_matrix, qmref.expectations,
                qmref.hardy_amplitudes):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-        used = {"@" for node in ast.walk(tree) if isinstance(getattr(node, "op", None), ast.MatMult)}
+        used = {"@" for node in ast.walk(tree)
+                if isinstance(getattr(node, "op", None), ast.MatMult)}
         used |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr in banned}
         used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
