@@ -93,10 +93,6 @@ class Multivector3:
         return cls(np.concatenate(([s], np.asarray(v, float), np.asarray(b, float), [t])))
 
     @classmethod
-    def scalar(cls, s: float) -> "Multivector3":
-        return cls.from_parts(s=s)
-
-    @classmethod
     def bivector(cls, b) -> "Multivector3":
         """Pure bivector with axis components b along (e2e3, e3e1, e1e2)."""
         return cls.from_parts(b=b)
@@ -106,16 +102,8 @@ class Multivector3:
         return float(self.comps[0])
 
     @property
-    def v(self) -> np.ndarray:
-        return self.comps[1:4]
-
-    @property
     def b(self) -> np.ndarray:
         return self.comps[4:7]
-
-    @property
-    def t(self) -> float:
-        return float(self.comps[7])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.comps))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,17 +206,10 @@ RESIDUAL_LABELS = (
 HEADLINE_HARDY_PAIRS = (("a'+", "b+"), ("a+", "b'+"), ("a-", "b-"), ("a'+", "b'+"))
 
 
-class HardySolverError(RuntimeError):
-    """Every solver start diverged; carries the best iterate found."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 @dataclass(frozen=True)
 class HardyAngles:
-    """The seven tilt angles at a given theta, plus the certified residual norm."""
+    """The seven tilt angles at a given finite theta, plus the residual norm
+    of the angle system there."""
 
     theta: float
     alpha: float
@@ -227,7 +220,6 @@ class HardyAngles:
     rho: float
     nu: float
     residual_norm: float = float("nan")
-    diverged: int = field(default=0, compare=False)  # solver starts that went non-finite
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in ANGLE_NAMES])
@@ -256,25 +248,28 @@ _LM_MAX_ITER = 2000
 # Over seeds 0..99 this keeps the minimum found closer to MINPACK's than
 # 1e-3 (9 against 15 of 2424 theta points differ) at about the same work.
 _LM_DAMPING0 = 1e-6
+# The damping never falls below this, so the damped J^T J stays positive
+# definite and no solve is singular; over seeds 0..9 of the 19-point 0..pi/2
+# grid, floors of 1e-12, 1e-9 and 1e-6 find the same minima.
+_LM_DAMPING_FLOOR = 1e-12
 
 
 def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
     """Levenberg-Marquardt on the product-form residuals from every row of
-    an (S, 7) start stack at once; returns the (S, 7) final iterates.  theta
-    is a scalar or one value per row, so one call can solve a whole grid.
+    an (S, 7) stack of finite starts at once; returns the (S, 7) final
+    iterates.  theta is a scalar or one value per row, so one call can solve
+    a whole grid.
 
-    Damping (Marquardt-scaled by diag(J^T J)), acceptance and stopping are
-    per start.  An iteration makes one np.linalg.solve call and one
-    hardy_kernel.gram_triangle call, at the trial points; an accepted start
-    keeps the trial's J^T J and J^T r.  A step is taken only when it lowers
-    the cost, so a finite start ends finite and a non-finite one never
-    moves.  A start stops at its own xtol/ftol/gtol test, a non-finite step
-    or the cap."""
-    out = np.array(x0, dtype=float)
-    consts = np.broadcast_to(hardy_kernel.theta_terms(theta), (len(out), 9))
-    gram = hardy_kernel.gram_triangle(out, consts)
-    ids = np.flatnonzero(np.isfinite(gram[:, 35]))  # rows of `out` still iterating
-    x, gram, consts = out[ids], gram[ids], consts[ids]
+    Damping (Marquardt-scaled by diag(J^T J), never below _LM_DAMPING_FLOOR),
+    acceptance and stopping are per start.  An iteration makes one
+    np.linalg.solve call and one hardy_kernel.gram_triangle call, at the
+    trial points; an accepted start keeps the trial's J^T J and J^T r.  A
+    step is taken only when it lowers the cost, so every iterate is finite.
+    A start stops at its own xtol/ftol/gtol test or at the cap."""
+    x = np.array(x0, dtype=float)
+    out, ids = np.empty_like(x), np.arange(len(x))  # ids: rows of `out` still iterating
+    consts = np.broadcast_to(hardy_kernel.theta_terms(theta), (len(x), 9))
+    gram = hardy_kernel.gram_triangle(x, consts)
     scale, eye = np.zeros((len(ids), 7)), np.eye(7)
     damping, growth = np.full(len(ids), _LM_DAMPING0), np.full(len(ids), 2.0)
 
@@ -293,16 +288,14 @@ def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
             # zero column (0/0) counts as converged.
             gconv = (cost == 0.0) | ~(grad * grad > _LM_GTOL**2 * col_sq * gram[:, 35:]).any(axis=1)
 
+            damping = np.maximum(damping, _LM_DAMPING_FLOOR)
             lam_d = damping[:, None] * np.maximum(scale, np.finfo(float).tiny)
-            step = _batched_solve(jtj + lam_d[:, :, None] * eye, -grad)
-            finite_step = np.isfinite(step).all(axis=1)
-            step[~finite_step] = 0.0
+            step = np.linalg.solve(jtj + lam_d[:, :, None] * eye, -grad[:, :, None])[:, :, 0]
             trial = x + step
             gram_trial = hardy_kernel.gram_triangle(trial, consts)
             actual = cost - 0.5 * gram_trial[:, 35]
             predicted = 0.5 * np.einsum("si,si->s", step, lam_d * step - grad)
-            # actual > 0 also rejects a non-finite trial cost.
-            accept = ~gconv & finite_step & (actual > 0.0)
+            accept = ~gconv & (actual > 0.0)
 
             # Nielsen's update: a good step shrinks the damping by up to 3x,
             # each failure in a row grows it twice as fast as the one before.
@@ -315,7 +308,7 @@ def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
 
             x = np.where(accept[:, None], trial, x)
             gram = np.where(accept[:, None], gram_trial, gram)
-            done = gconv | xconv | fconv | ~(finite_step & np.isfinite(damping))
+            done = gconv | xconv | fconv | ~np.isfinite(damping)
             if done.any():
                 out[ids[done]] = x[done]
                 keep = ~done
@@ -323,19 +316,6 @@ def _solve_lm(x0: np.ndarray, theta) -> np.ndarray:
                 scale, damping, growth = scale[keep], damping[keep], growth[keep]
     out[ids] = x
     return out
-
-
-def _batched_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over a stack; a singular system yields a NaN row
-    instead of failing the whole stack (the stack is split in halves until
-    the singular rows are alone)."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full_like(b, np.nan)
-        half = len(a) // 2
-        return np.concatenate([_batched_solve(a[:half], b[:half]), _batched_solve(a[half:], b[half:])])
 
 
 # Joe-Kuo primitive polynomials and initial direction numbers of Sobol'
@@ -387,10 +367,9 @@ def _sobol_points(n: int, seed: int) -> np.ndarray:
 
 
 def solve_hardy(theta: float, *, starts: int = 32, seed: int = 20240901) -> HardyAngles:
-    """Least-squares solve of the 13-equation angle system at one theta: the
-    angles of the one-point scan_hardy, with their certified residual_norm
-    and the count of starts whose cost went non-finite; the caller decides
-    what residual_norm it will accept.
+    """Least-squares solve of the 13-equation angle system at one finite
+    theta: the angles of the one-point scan_hardy, with their residual_norm;
+    the caller decides what residual_norm it will accept.
     """
     return scan_hardy([theta], starts=starts, seed=seed)[0].angles
 
@@ -402,17 +381,11 @@ class HardyScanRow:
     solved: bool
     failing: tuple  # (label, residual) pairs of the failing equations, worst first
 
-    @property
-    def diverged(self) -> int:
-        """Solver starts whose cost went non-finite at this theta."""
-        return self.angles.diverged
-
     def to_dict(self) -> dict:
         return {
             "theta": self.theta,
             "residual_norm": self.angles.residual_norm,
             "solved": self.solved,
-            "diverged": self.diverged,
             "failing": [{"label": l, "residual": r} for l, r in self.failing],
             "angles": {n: getattr(self.angles, n) for n in ANGLE_NAMES},
         }
@@ -431,52 +404,55 @@ _LONE_COMPANION_OFFSET = math.radians(5.0)
 _FAILING_SHARE = 1e-6
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of v, summed in component order
+    (geometry.dot), so its bits do not depend on the BLAS kernel."""
+    return np.sqrt(dot(v, v))
+
+
 def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1e-10) -> list:
     """Solve across a theta grid in two batched passes.
 
     Pass 1 runs every grid point from its `starts` scrambled-Sobol points
-    (seed + i at the i-th point) in one Levenberg-Marquardt call, with theta
-    carried per row.  Pass 2 is one more call that restarts each point from
+    (seed + i at the i-th point) in one Levenberg-Marquardt call (_solve_lm,
+    whose damping is floored at _LM_DAMPING_FLOOR), with theta carried per
+    row.  Pass 2 is one more call that restarts each point from
     pass 1's best at both of its grid neighbours: a root found at one theta
     is a good start at the next, and the restart from theta_1 is what
     certifies theta = 0 at seeds whose own starts miss it; a lone theta gets
     it from its companion (seed + 1).  In grid order, each point then takes
     the best iterate of both passes, ties within 1e-12 breaking toward the
     previous point's answer, then toward the smallest angle-vector norm.
-    Calls are capped at _SCAN_MAX_ROWS rows.
+    Calls are capped at _SCAN_MAX_ROWS rows.  Every norm here is _norms'.
 
     Every grid point is reported, solved iff its residual norm is below
     `tol`. A solved point lists no failing equation; at any other, equation i
     fails, listed worst first, iff |r_i| > _FAILING_SHARE * norm, so at least
     one does (max |r_i| >= norm / sqrt(13)) whatever `tol` is.  Raises
-    ValueError when starts < 1 and HardySolverError when every start at a
-    point diverged.
+    ValueError when starts < 1 or a theta is not finite.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.isfinite(thetas).all():
+        raise ValueError(f"theta must be finite, got {thetas[~np.isfinite(thetas)][0]!r}")
     reported = len(thetas)
     if reported == 1:
         thetas = np.append(thetas, thetas[0] + _LONE_COMPANION_OFFSET)
-    # Per point: the near-best iterates so far, their norms, and the counts of
-    # diverged and of all starts.
-    found = [(np.empty((0, 7)), np.empty(0), 0, 0) for _ in thetas]
+    # Per point: the iterates so far within 1e-12 of the best, and their norms.
+    found = [(np.empty((0, 7)), np.empty(0)) for _ in thetas]
 
     def run(owner: np.ndarray, x0: np.ndarray):
         theta = thetas[owner]
         xs = _wrap_angles(_solve_lm(x0, theta))
-        norms = np.linalg.norm(hardy_kernel.residuals(xs, theta), axis=1)
+        norms = _norms(hardy_kernel.residuals(xs, theta))
         for i in dict.fromkeys(owner.tolist()):  # np.unique would load numpy.ma
             mine = owner == i
-            near, near_norms, diverged, total = found[i]
+            near, near_norms = found[i]
             cand = np.vstack([near, xs[mine]])
             cand_norms = np.concatenate([near_norms, norms[mine]])
-            # The finite norms within 1e-12 of the smallest one.
-            finite = np.isfinite(cand_norms)
-            keep = finite & (cand_norms <= cand_norms[finite].min(initial=np.inf) + 1e-12)
-            found[i] = (cand[keep], cand_norms[keep],
-                        diverged + int(np.count_nonzero(~np.isfinite(norms[mine]))),
-                        total + int(np.count_nonzero(mine)))
+            keep = cand_norms <= cand_norms.min() + 1e-12
+            found[i] = (cand[keep], cand_norms[keep])
 
     per_call = max(1, _SCAN_MAX_ROWS // starts)
     for lo in range(0, len(thetas), per_call):
@@ -484,32 +460,25 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
         x0 = np.pi * np.vstack([_sobol_points(starts, seed + i) for i in points])
         run(np.repeat(points, starts), x0)
 
-    firsts = [min(near, key=np.linalg.norm) if len(near) else None for near, *_ in found]
-    restarts = [(i, firsts[j]) for i in range(reported) for j in (i - 1, i + 1)
-                if 0 <= j < len(thetas) and firsts[j] is not None]
+    firsts = [near[np.argmin(_norms(near))] for near, _ in found]
+    restarts = [(i, firsts[j]) for i in range(reported) for j in (i - 1, i + 1) if 0 <= j < len(thetas)]
     for lo in range(0, len(restarts), _SCAN_MAX_ROWS):
         chunk = restarts[lo:lo + _SCAN_MAX_ROWS]
         run(np.array([i for i, _ in chunk]), np.array([x for _, x in chunk]))
 
     rows = []
     prev = None
-    for i, (theta, (near, _, diverged, total)) in enumerate(zip(thetas[:reported].tolist(), found)):
-        if not len(near):
-            x = _wrap_angles(np.pi * _sobol_points(1, seed + i)[0])
-            norm = float(np.linalg.norm(hardy_kernel.residuals(x, theta)))
-            raise HardySolverError(f"all {total} starts diverged at theta={theta!r}",
-                                   best=HardyAngles(theta, *x.tolist(), residual_norm=norm))
+    for theta, (near, _) in zip(thetas[:reported].tolist(), found):
         # The near-best iterate closest (wrapped) to the previous point's answer.
-        key = np.linalg.norm if prev is None else (
-            lambda x: (np.linalg.norm(_wrap_angles(x - prev)), np.linalg.norm(x)))
-        chosen = min(near, key=key)
+        gap = np.zeros(len(near)) if prev is None else _norms(_wrap_angles(near - prev))
+        chosen = near[np.lexsort((_norms(near), gap))[0]]
         res = hardy_kernel.residuals(chosen, theta)  # the one residual evaluation at this point
-        norm = float(np.linalg.norm(res))
-        solved = norm < tol
+        residual_norm = float(_norms(res))
+        solved = residual_norm < tol
         failing = [] if solved else [(lbl, float(r)) for lbl, r in zip(RESIDUAL_LABELS, res)
-                                     if abs(r) > _FAILING_SHARE * norm]
+                                     if abs(r) > _FAILING_SHARE * residual_norm]
         failing.sort(key=lambda lr: -abs(lr[1]))
-        angles = HardyAngles(theta, *chosen.tolist(), residual_norm=norm, diverged=diverged)
+        angles = HardyAngles(theta, *chosen.tolist(), residual_norm=residual_norm)
         rows.append(HardyScanRow(theta, angles, solved, tuple(failing)))
         prev = chosen
     return rows

@@ -71,10 +71,6 @@ class SpinObservable:
         dirs = tuple(require_unit(n) for n in self.directions)
         object.__setattr__(self, "directions", dirs)
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.directions)
-
     def matrix(self) -> np.ndarray:
         m = np.array([[1.0 + 0j]])
         for n in self.directions:

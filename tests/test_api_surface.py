@@ -1,13 +1,17 @@
 """Every top-level function and class of spherelab, and every method of
 those classes, must be reached by the program or by its documented surface:
 the rest of src/, the README, the benchmark harness (perfbench/*.py) or the
-acceptance suite. A name that only other tests reach is library API kept for
-them alone; it stays only when TEST_REFERENCES names the test that compares
-against it, so test-only API cannot grow back unnoticed."""
+acceptance suite. A method is reached only through an attribute reference
+(`.name`), since a bare identifier of the same name is some other binding; a
+method that overrides a base-class method is a hook the base class calls, and
+is exempt. A name that only other tests reach is library API kept for them
+alone; it stays only when TEST_REFERENCES names the test that compares against
+it, so test-only API cannot grow back unnoticed."""
 
 import ast
 import collections
 import functools
+import importlib
 import re
 from pathlib import Path
 
@@ -24,12 +28,14 @@ TEST_REFERENCES = {
     "mcsim.LambdaStream.sample_block":
         "tests/test_mcsim.py::test_orientation_sum_matches_the_sample_block_route",
     "qmref.general_state": "tests/test_qmref.py::test_batched_kernel_matches_kronecker_reference",
+    "qmref.SpinObservable.matrix":
+        "tests/test_qmref.py::test_batched_kernel_matches_kronecker_reference",
 }
 
 
 def _references(path: Path) -> list:
-    """(identifier, line) for every name, attribute, imported name and
-    identifier-like string constant in a Python file; a name inside a
+    """(identifier, line, is_attribute) for every name, attribute, imported
+    name and identifier-like string constant in a Python file; a name inside a
     function that one of its parameters binds is the parameter's."""
     out = []
 
@@ -39,13 +45,13 @@ def _references(path: Path) -> list:
             params = params | {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
                                                 a.vararg, a.kwarg] if p}
         if isinstance(node, ast.Name) and node.id not in params:
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, True))
         elif isinstance(node, ast.alias):
-            out.append((node.name.split(".")[-1], node.lineno))
+            out.append((node.name.split(".")[-1], node.lineno, False))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            out.append((node.value, node.lineno))
+            out.append((node.value, node.lineno, False))
         for child in ast.iter_child_nodes(node):
             visit(child, params)
 
@@ -53,33 +59,46 @@ def _references(path: Path) -> list:
     return out
 
 
+def _overrides(path: Path, cls: str, method: str) -> bool:
+    """Whether spherelab.<module>.<cls>.<method> overrides a base-class method."""
+    klass = getattr(importlib.import_module(f"spherelab.{path.stem}"), cls)
+    return any(method in vars(base) for base in klass.__mro__[1:])
+
+
 def _definitions():
-    """(module file, name, first line, last line) of each top-level def and
-    class of spherelab and of each method of those classes, named
-    Class.method; dunder hooks left out."""
+    """(module file, name, first line, last line, is_method) of each
+    top-level def and class of spherelab and of each method of those classes,
+    named Class.method; dunder hooks and base-class overrides left out."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
-                yield path, node.name, node.lineno, node.end_lineno
+                yield path, node.name, node.lineno, node.end_lineno, False
             for method in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
-                    yield path, f"{node.name}.{method.name}", method.lineno, method.end_lineno
+                if (isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+                        and not _overrides(path, node.name, method.name)):
+                    yield path, f"{node.name}.{method.name}", method.lineno, method.end_lineno, True
 
 
 @functools.cache
 def _unreached() -> tuple:
     surface = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
-    used = {name for path in surface for name, _ in _references(path)}
+    used = collections.defaultdict(set)  # name -> {is_attribute} of its uses
+    for path in surface:
+        for name, _, attr in _references(path):
+            used[name].add(attr)
     readme = (ROOT / "README.md").read_text()
-    src_refs = collections.defaultdict(list)  # name -> (file, line) of each use
+    src_refs = collections.defaultdict(list)  # name -> (file, line, is_attribute) of each use
     for path in SRC.glob("*.py"):
-        for name, line in _references(path):
-            src_refs[name].append((path, line))
+        for name, line, attr in _references(path):
+            src_refs[name].append((path, line, attr))
     unreached = []
-    for path, qualname, first, last in _definitions():
+    for path, qualname, first, last, method in _definitions():
         name = qualname.split(".")[-1]
-        in_src = any(other != path or not first <= line <= last for other, line in src_refs[name])
-        if not (in_src or name in used or re.search(rf"\b{name}\b", readme)):
+        in_src = any((other != path or not first <= line <= last) and (attr or not method)
+                     for other, line, attr in src_refs[name])
+        in_surface = True in used[name] or (not method and False in used[name])
+        in_readme = re.search((r"\." if method else r"\b") + rf"{name}\b", readme)
+        if not (in_src or in_surface or in_readme):
             unreached.append(f"{path.stem}.{qualname}")
     return tuple(unreached)
 

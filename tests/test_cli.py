@@ -1018,14 +1018,6 @@ def test_angles_file_with_numbers_is_used(tmp_path):
     assert run_cli("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg") == 0
 
 
-def test_solve_hardy_json_rows_carry_diverged_count(tmp_path):
-    out = tmp_path / "scan.json"
-    assert run_cli("solve-hardy", "--theta-grid", "0:90:3", "--unit", "deg",
-                   "--starts", "8", "--out", str(out)) == 0
-    rows = json.loads(out.read_text())["rows"]
-    assert [r["diverged"] for r in rows] == [0, 0, 0]
-
-
 GHZ3_ANGLES = ("--angles", "30,10,70,20,110,30", "--unit", "deg")
 
 

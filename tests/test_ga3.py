@@ -55,7 +55,7 @@ def test_structure_constants_match_blade_oracle():
 
 def test_basis_vector_squares_to_plus_one():
     e1 = ga3.Multivector3.from_parts(v=[1.0, 0.0, 0.0])
-    assert np.array_equal(ga3.geometric_product(e1, e1).comps, ga3.Multivector3.scalar(1.0).comps)
+    assert np.array_equal(ga3.geometric_product(e1, e1).comps, ga3.Multivector3.from_parts(s=1.0).comps)
 
 
 def test_pair_product_identity_right_handed():
@@ -117,7 +117,7 @@ def test_bivector_beable_rejects_bad_inputs():
 
 def test_tilted_point_limits_and_norm():
     n = random_unit_vectors(RNG, 1)[0]
-    one = ga3.Multivector3.scalar(1.0).comps
+    one = ga3.Multivector3.from_parts(s=1.0).comps
     assert np.max(np.abs(ga3.tilted_point(0.0, n, 1).comps - one)) <= 1e-15
     quarter = ga3.tilted_point(np.pi / 2, n, 1).comps
     assert np.max(np.abs(quarter - ga3.bivector_beable(n, 1).comps)) <= 1e-15
@@ -218,7 +218,7 @@ def test_unit_even_closure():
 
 
 def test_multivector_is_immutable():
-    x = ga3.Multivector3.scalar(1.0)
+    x = ga3.Multivector3.from_parts(s=1.0)
     with pytest.raises(AttributeError):
         x.s = 2.0
     with pytest.raises(ValueError):
