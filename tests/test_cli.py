@@ -383,7 +383,7 @@ PINNED_ARTIFACTS = [
     # per-row csv.writer route, before the column-backed report and its
     # template writer.
     (("compare", "--state", "all", "--samples", "20", "--seed", "7"), "compare.json",
-     "6c7a1754604400c5a3c78018a8f0ce4d0fca967460de7d9a7d769e6740b99f51"),
+     "4efbf804252dfd3d8b4b12beb0fabaaa35d595ff25fa23202621a508392d164e"),
     (("compare", "--state", "all", "--samples", "20", "--seed", "7", "--format", "csv"),
      "compare.csv", "c2c77ad5bb262a23f6c012ce5bf4ba5d8e68e2175c990a538d771419850521d4"),
     (("identities", "--samples", "200"), "identities.json",
@@ -427,9 +427,9 @@ PINNED_ARTIFACTS = [
     # solve-hardy, mc CSV and identities CSV artifacts, as written while the
     # CLI still laid out the solve-hardy and mc ones itself.
     (("solve-hardy", "--theta-grid", "0:90:7", "--unit", "deg", "--seed", "5"),
-     "solve_hardy.json", "1a4e400e3ccb579fbf3e2609203ce0754d87c8b714e5ccae7bf5c8ff152ae3ef"),
+     "solve_hardy.json", "7b5d92b762ee394e40a81ee92737cde3c19108c39ad7e0edb3c931df1b9d3154"),
     (("solve-hardy", "--theta-grid", "0:90:7", "--unit", "deg", "--seed", "5", "--format", "csv"),
-     "solve_hardy.csv", "f24084bef8d9f7308e29de16fa2110f17ba7918fc7ee8d3dd3307ac2f879d416"),
+     "solve_hardy.csv", "083a5e280570895b02fae0eb4c95deb75871dd790cae6b5da0a28d8e3ebedc61"),
     (SINGLET_MC + ("--format", "csv"), "mc.csv",
      "1b63eefef346875649ab3f12ebd43855d55309e76911eeceda2add3b27a01719"),
     (("identities", "--samples", "200", "--format", "csv"), "identities.csv",
