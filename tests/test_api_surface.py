@@ -96,7 +96,7 @@ def _unreached() -> tuple:
         name = qualname.split(".")[-1]
         in_src = any((other != path or not first <= line <= last) and (attr or not method)
                      for other, line, attr in src_refs[name])
-        in_surface = True in used[name] or (not method and False in used[name])
+        in_surface = any(attr or not method for attr in used[name])
         in_readme = re.search((r"\." if method else r"\b") + rf"{name}\b", readme)
         if not (in_src or in_surface or in_readme):
             unreached.append(f"{path.stem}.{qualname}")
