@@ -8,7 +8,8 @@ compare.chsh_sweep_table, mcsim.EnsembleReport), and _emit is the one place
 that writes it, atomically, and prints `wrote PATH`. The settings of qm,
 model and mc are parsed in one place (_setting), into a
 spherelab.mcsim.Experiment whose kind in mcsim.EXPERIMENTS names the
-directions and numbers it takes.
+directions and numbers it takes; one table, SETTING_FLAGS, says which
+settings read each flag and --angles-file key.
 
 Conventions:
   * every angle-bearing flag is interpreted per --unit {deg, rad}, which is
@@ -137,14 +138,34 @@ CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 CONFIG_LISTS = {"angles": ((str, list), "a string or a list"), "tolerance": ((list,), "a list")}
 
 
-# The model flags that only some --which settings read: dest -> those settings.
-MODEL_FLAG_SETTINGS = {
+# The flag that picks the setting of qm, model and mc, and its choices.
+SETTINGS = {"qm": ("state", ("singlet", "hardy", "ghz3", "ghz4")),
+            "model": ("which", ("singlet", "chsh", "hardy", "ghz3", "ghz4")),
+            "mc": ("experiment", tuple(mcsim.EXPERIMENTS))}
+
+# The flags, and --angles-file keys, that only some settings read: dest -> those settings.
+SETTING_FLAGS = {
     "theta": ("hardy",), "starts": ("hardy",), "unswapped_b_minus": ("hardy",),
     "mode": ("ghz3", "ghz4"), "strict_table": ("ghz3", "ghz4"), "table": ("ghz3", "ghz4"),
     "angles": tuple(mcsim.EXPERIMENTS),
     **{name: tuple(kind for kind, spec in mcsim.EXPERIMENTS.items() if name in spec.numbers)
        for name in ("alpha", "delta")},
 }
+
+
+def _not_read(args, dest: str) -> str | None:
+    """Why the setting of a qm, model or mc call does not read the flag or
+    angles-file key dest, or None when it does or the command has no setting."""
+    if args.command not in SETTINGS:
+        return None
+    flag, choices = SETTINGS[args.command]
+    setting = getattr(args, flag)
+    readers = [kind for kind in choices if kind in SETTING_FLAGS[dest]]
+    if setting in readers:
+        return None
+    if not readers:
+        return f"is not read by {args.command}"
+    return f"is read only for --{flag} {' or '.join(readers)}, not {setting}"
 
 
 def _subcommand_options(parser: argparse.ArgumentParser, command: str) -> dict:
@@ -170,8 +191,8 @@ def _check_config_value(action: argparse.Action, value):
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Apply JSON config values beneath explicit flags, then fill defaults.
     Every key must name one of the subcommand's flags, and its value must
-    have the type that flag takes. A model flag, given or from a key, must
-    be one its --which setting reads."""
+    have the type that flag takes. A qm, model or mc flag, given or from a
+    key, must be one its setting reads."""
     if getattr(args, "config", None):
         try:
             doc = Path(args.config).read_text()
@@ -192,13 +213,13 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             current = getattr(args, attr, None)
             if current is None or (current is False and isinstance(value, bool)):
                 setattr(args, attr, value)
-    if args.command == "model":  # before the defaults fill --starts and --mode
-        if args.table is not None:
+    if args.command in SETTINGS:  # before the defaults fill --starts and --mode
+        if getattr(args, "table", None) is not None:
             get_table(args.table)  # an unknown table is named before a table off ghz3/ghz4
-        for dest, settings in MODEL_FLAG_SETTINGS.items():
-            if getattr(args, dest) not in (None, False) and args.which not in settings:
-                raise UsageError(f"--{dest.replace('_', '-')} is read only for --which "
-                                 f"{' or '.join(settings)}, not {args.which}")
+        for dest in SETTING_FLAGS:
+            why = getattr(args, dest, None) not in (None, False) and _not_read(args, dest)
+            if why:
+                raise UsageError(f"--{dest.replace('_', '-')} {why}")
     for key, value in COMMAND_DEFAULTS.get(args.command, {}).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
@@ -231,7 +252,8 @@ def _finite(flag: str, values: list) -> list:
 
 def _load_angles(args, directions: bool = True) -> list[float]:
     """The numbers of --angles or --angles-file, whose alpha, delta and theta fill
-    unset flags; "angles" may be left out of it without directions (hardy)."""
+    unset flags; "angles" may be left out of it without directions (hardy).
+    A key of the file that the setting does not read is a UsageError."""
     if getattr(args, "angles", None) and getattr(args, "angles_file", None):
         raise UsageError("give either --angles or --angles-file, not both")
     if getattr(args, "angles", None):
@@ -250,10 +272,16 @@ def _load_angles(args, directions: bool = True) -> list[float]:
             raise UsageError('angles file must hold a JSON object with an "angles" list')
         if not all(_is_number(x) for x in angles):
             raise UsageError(f'angles file: "angles" must hold numbers, got {angles!r}')
-        for key in ("alpha", "delta", "theta"):
-            if key in data and not _is_number(data[key]):
+        keys = [key for key in ("alpha", "delta", "theta") if key in data]
+        for key in keys:
+            if not _is_number(data[key]):
                 raise UsageError(f"angles file: {key!r} must be a number, got {data[key]!r}")
-            if key in data and getattr(args, key, None) is None:
+        for key in (["angles"] if angles else []) + keys:
+            why = _not_read(args, key)
+            if why:
+                raise UsageError(f"angles file: {key!r} {why}")
+        for key in keys:
+            if getattr(args, key, None) is None:
                 setattr(args, key, data[key])
         return _finite("--angles-file", [float(x) for x in angles])
     raise UsageError("directions required: pass --angles or --angles-file")
@@ -268,10 +296,6 @@ def _require_unit_flag(args) -> str:
     if getattr(args, "unit", None) is None:
         raise UsageError("angles supplied: --unit {deg,rad} is mandatory")
     return args.unit
-
-
-# What qm, model and mc call the setting they take, for their messages.
-SETTING_NOUNS = {"qm": "state", "model": "model", "mc": "experiment"}
 
 
 def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
@@ -293,7 +317,7 @@ def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
         dirs = [spherical_direction(rad[2 * i], rad[2 * i + 1]) for i in range(n_sites)]
     if any(getattr(args, name) is None for name in spec.numbers):
         raise UsageError(f"{' and '.join('--' + name for name in spec.numbers)} required "
-                         f"for the {kind} {SETTING_NOUNS[args.command]}")
+                         f"for --{SETTINGS[args.command][0]} {kind}")
     numbers = [_angle(args, name, unit) for name in spec.numbers]
     return mcsim.Experiment(kind, tuple(dirs), tuple(numbers)), rad
 
@@ -304,7 +328,7 @@ def _theta(args) -> float:
     if args.theta is None and getattr(args, "angles_file", None):
         _load_angles(args, directions=False)  # sets args.theta from the file's theta key
     if args.theta is None:
-        raise UsageError(f"--theta required for the hardy {SETTING_NOUNS[args.command]}")
+        raise UsageError(f"--theta required for --{SETTINGS[args.command][0]} hardy")
     return _angle(args, "theta", _require_unit_flag(args))
 
 
@@ -487,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qm", help="brute-force oracle values vs closed forms")
     _add_common(p, angles=True, seed=False, tolerance=True)
-    p.add_argument("--state", required=True, choices=("singlet", "hardy", "ghz3", "ghz4"))
+    p.add_argument("--state", required=True, choices=SETTINGS["qm"][1])
     p.add_argument("--theta", type=float, default=None, help="hardy parameter (in --unit)")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
@@ -495,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", help="model evaluations")
     _add_common(p, angles=True, tolerance=True)
-    p.add_argument("--which", required=True, choices=("singlet", "chsh", "hardy", "ghz3", "ghz4"))
+    p.add_argument("--which", required=True, choices=SETTINGS["model"][1])
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
@@ -521,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="seeded hidden-orientation ensembles")
     _add_common(p, angles=True)
-    p.add_argument("--experiment", required=True, choices=("singlet", "chsh", "ghz3", "ghz4"))
+    p.add_argument("--experiment", required=True, choices=SETTINGS["mc"][1])
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)

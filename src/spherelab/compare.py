@@ -30,6 +30,8 @@ DEFAULT_TOLERANCES = {
 }
 
 CANONICAL_HARDY_THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
+HARDY_GRID_POINTS = 21  # closed forms checked on this many thetas over [0, pi/2]
+CHSH_SWEEP_COUNT = 100_000  # quadruples in the coplanar sweep of the CHSH string
 
 
 def compare_singlet(samples: int = 1000, seed: int = 7, tolerances=None) -> ComparisonReport:
@@ -54,8 +56,7 @@ def chsh_sweep_rows(report: ComparisonReport, count: int, seed: int, tolerances)
     return sweep
 
 
-def compare_chsh(samples: int = 1000, seed: int = 7, sweep_count: int = 100_000,
-                 tolerances=None) -> ComparisonReport:
+def compare_chsh(samples: int = 1000, seed: int = 7, tolerances=None) -> ComparisonReport:
     tol = tolerances or DEFAULT_TOLERANCES
     rng = np.random.default_rng(seed)
     dirs = random_unit_vectors(rng, 4 * samples).reshape(samples, 4, 3)
@@ -63,29 +64,28 @@ def compare_chsh(samples: int = 1000, seed: int = 7, sweep_count: int = 100_000,
     report = ComparisonReport(meta={"state": "chsh", "samples": samples, "seed": seed}).add(
         [f"chsh[{i}]" for i in range(samples)], lrmodel.chsh_models(*dirs.transpose(1, 0, 2)),
         qmref.chsh_values(state, dirs), tol["algebraic"])
-    chsh_sweep_rows(report, sweep_count, seed, tol)
+    chsh_sweep_rows(report, CHSH_SWEEP_COUNT, seed, tol)
     best, _ = qmref.maximize_chsh(state, seed=seed)
     return report.add(["chsh.qm_maximum_singlet"], best, lrmodel.TWO_SQRT2, tol["sweep_max"])
 
 
-def compare_hardy(thetas=CANONICAL_HARDY_THETAS, grid_points: int = 21, seed: int = 7,
-                  starts: int = 32, tolerances=None) -> ComparisonReport:
+def compare_hardy(seed: int = 7, tolerances=None) -> ComparisonReport:
     tol = tolerances or DEFAULT_TOLERANCES
-    grid = np.linspace(0.0, math.pi / 2, grid_points)
-    scan = lrmodel.scan_hardy(thetas, starts=starts, seed=seed, tol=tol["solver_residual"])
+    grid = np.linspace(0.0, math.pi / 2, HARDY_GRID_POINTS)
+    scan = lrmodel.scan_hardy(CANONICAL_HARDY_THETAS, seed=seed, tol=tol["solver_residual"])
     oracle = qmref.hardy_amplitudes(np.concatenate((grid, [row.theta for row in scan])))
     report = ComparisonReport(meta={"state": "hardy", "seed": seed, "solver": {
         f"{row.theta:.6f}": row.to_dict() for row in scan}})
     # Closed forms against the brute-force amplitudes on a theta grid.
     report.add([f"hardy_closed_form[{theta:.6f},{s1},{s2}]"
                 for theta in grid for s1, s2 in qmref.HARDY_PAIRS],
-               qmref.hardy_closed_forms(grid).ravel(), oracle[:grid_points].ravel(),
+               qmref.hardy_closed_forms(grid).ravel(), oracle[:HARDY_GRID_POINTS].ravel(),
                tol["algebraic"])
     # Solver-mediated joint predictions where the angle system certifies.
     headline = [qmref.HARDY_PAIRS.index(pair) for pair in lrmodel.HEADLINE_HARDY_PAIRS]
     model, _ = lrmodel.hardy_points([row.angles.as_array() for row in scan],
                                     [row.theta for row in scan], lrmodel.HEADLINE_HARDY_PAIRS)
-    for row, joints, amplitudes in zip(scan, model, oracle[grid_points:]):
+    for row, joints, amplitudes in zip(scan, model, oracle[HARDY_GRID_POINTS:]):
         if row.solved:
             report.add([f"hardy_model[{row.theta:.6f},{s1},{s2}]"
                         for s1, s2 in lrmodel.HEADLINE_HARDY_PAIRS],
@@ -123,7 +123,7 @@ def compare_ghz(which: str, samples: int = 500, seed: int = 7, table=None,
 
 BUILDERS = {
     "singlet": lambda samples, seed, table, tol: compare_singlet(samples, seed, tol),
-    "chsh": lambda samples, seed, table, tol: compare_chsh(samples, seed, tolerances=tol),
+    "chsh": lambda samples, seed, table, tol: compare_chsh(samples, seed, tol),
     "hardy": lambda samples, seed, table, tol: compare_hardy(seed=seed, tolerances=tol),
     "ghz3": lambda samples, seed, table, tol: compare_ghz("ghz3", samples, seed, table, tol),
     "ghz4": lambda samples, seed, table, tol: compare_ghz("ghz4", samples, seed, table, tol),
@@ -186,9 +186,9 @@ def model_report(experiment, mode: str = "pinned_z", table=None,
     kind, dirs = experiment.kind, experiment.directions
     meta = {"command": "model", "which": kind}
     if kind == "singlet":
-        point = experiment.product_point()
+        f, oriented = lrmodel.product_point(kind, dirs)
         return ComparisonReport(meta=meta).add(
-            ["singlet.model", "singlet.oriented_magnitude"], [point.f, point.g],
+            ["singlet.model", "singlet.oriented_magnitude"], [f, np.linalg.norm(oriented)],
             [qmref.pair_expectation(qmref.singlet_state(), *dirs), 0.0],
             [tol["algebraic"], math.inf])
     if kind == "chsh":

@@ -105,9 +105,6 @@ class Multivector3:
     def b(self) -> np.ndarray:
         return self.comps[4:7]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.comps))
-
     def __repr__(self) -> str:
         terms = [f"{c:+.6g}*{l}" for c, l in zip(self.comps, COMPONENT_LABELS) if c != 0.0]
         return "Multivector3(" + (" ".join(terms) if terms else "0") + ")"

@@ -100,7 +100,7 @@ def ga3_identity_report(samples: int = 10_000, seed: int = 0) -> ComparisonRepor
                  float(np.max(np.abs(chain4 - expected4))), 0.0, ALGEBRA_TOL))
 
     # Commutator of right-handed beables: pure bivector -2 (a x b).
-    comm = ga3._gp_components(beable_a, beable_b) - ga3._gp_components(beable_b, beable_a)
+    comm = prod - ga3._gp_components(beable_b, beable_a)
     expected = np.zeros_like(comm)
     expected[:, 4:7] = -2.0 * np.cross(a, b)
     rows.append(("ga3.commutator_identity",

@@ -29,8 +29,9 @@ Contents:
     generalized Lagrange identity by construction; their mutual residual
     is reported, never asserted); one stack of direction tuples is one
     ghz_values call, and a lone setting is the one-row stack,
-  * the product point (f, N) of each experiment, which spherelab.mcsim
-    averages over the orientation ensemble.
+  * product_point, the (f, N) of one setting of each experiment kind, read
+    off the evaluators above; spherelab.mcsim averages it over the
+    orientation ensemble.
 
 Comparison results are collected into column-backed ComparisonReports
 (spherelab.report).
@@ -50,29 +51,6 @@ from .report import ComparisonReport
 from .sphere7 import CrossTable, cross7, embed_ghz3, embed_ghz4, get_table, z_deviation
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class DecompositionResult:
-    """A product point split into its scalar f and its oriented vector N
-    (bivector axis for S^3, 7-vector for S^7), with magnitude g = |N|.
-
-    At orientation s the point's oriented components are s * oriented; the
-    scalar is s-independent.
-    """
-
-    f: float
-    oriented: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.oriented, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "oriented", arr)
-        object.__setattr__(self, "f", float(self.f))
-
-    @property
-    def g(self) -> float:
-        return float(np.linalg.norm(self.oriented))
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +77,6 @@ def singlet_correlation(a, b) -> float:
     return float(singlet_correlations(require_unit(a), require_unit(b)))
 
 
-def singlet_product_point(a, b) -> DecompositionResult:
-    oriented = -np.cross(require_unit(a), require_unit(b))
-    return DecompositionResult(singlet_correlation(a, b), oriented)
-
-
 def chsh_models(a, ap, b, bp) -> np.ndarray:
     """-cos(ab) - cos(ab') - cos(a'b) + cos(a'b') with a normalized ensemble,
     for each row of four (..., 3) stacks of unit directions."""
@@ -113,14 +86,6 @@ def chsh_models(a, ap, b, bp) -> np.ndarray:
 
 def chsh_model(a, ap, b, bp) -> float:
     return float(chsh_models(*(require_unit(v) for v in (a, ap, b, bp))))
-
-
-def chsh_product_point(a, ap, b, bp) -> DecompositionResult:
-    """The CHSH combination of the four pair product points (scalar and
-    oriented parts combined with the same +,+,+,- signs)."""
-    a, ap, b, bp = (require_unit(v) for v in (a, ap, b, bp))
-    oriented = -np.cross(a, b) - np.cross(a, bp) - np.cross(ap, b) + np.cross(ap, bp)
-    return DecompositionResult(chsh_model(a, ap, b, bp), oriented)
 
 
 def chsh_model_bound(a, ap, b, bp) -> float:
@@ -609,26 +574,6 @@ def ghz_report(prefix: str, oracle, values, tol: float, meta: dict,
     )
 
 
-def _ghz_point(embedded, table) -> DecompositionResult:
-    _, f, _, oriented = ghz_kernel(np.stack(embedded), 0.0, table)
-    return DecompositionResult(f, oriented)
-
-
-def ghz4_product_point(n1, n2, n3, n4, table: CrossTable | None = None) -> DecompositionResult:
-    """Grouped product point of the four embedded beables: scalar
-    (N1.N2)(N3.N4) - (N1xN2).(N3xN4) and the oriented deviation vector
-    (N3.N4)(N1xN2) + (N1.N2)(N3xN4) - (N1xN2)x(N3xN4)."""
-    return _ghz_point(embed_ghz4(n1, n2, n3, n4), table)
-
-
-def ghz3_product_point(
-    n1, n2, n3, alpha: float, delta: float, table: CrossTable | None = None
-) -> DecompositionResult:
-    """Same as ghz4_product_point with the fixed reference point prepended:
-    the group is (P A)(B C)."""
-    return _ghz_point(embed_ghz3(n1, n2, n3, alpha, delta), table)
-
-
 def ghz_values(which: str, dirs, alpha=None, delta=None, table: CrossTable | None = None):
     """(oracle, ghz_kernel values) of an (N, k, 3) stack of direction tuples:
     k = 4 for ghz4; k = 3 for ghz3, whose reference point and state take the
@@ -675,3 +620,23 @@ def ghz3_model(n1, n2, n3, alpha: float, delta: float, mode: str = "pinned_z",
     """Three-particle model value plus report; the reference point carries
     (alpha, delta) and the pinned Z is e3 * (n1z n2z n3z)."""
     return _ghz_model("ghz3", (n1, n2, n3), mode, table, tol, alpha=alpha, delta=delta)
+
+
+def product_point(kind: str, dirs, numbers=(), table: CrossTable | str | None = None):
+    """The product point (f, N) of one setting of an experiment kind, dirs its
+    unit directions and numbers ghz3's alpha and delta: the s-independent
+    scalar f and the oriented vector N (the bivector axis on S^3, a 7-vector
+    on S^7) of the point f + s * N at orientation s. For chsh, the four pair
+    points under chsh_model's signs; for ghz3 and ghz4, the table value and
+    deviation of the one-row ghz_values stack, under table."""
+    if kind == "singlet":
+        a, b = dirs
+        return singlet_correlation(a, b), -np.cross(a, b)
+    if kind == "chsh":
+        a, ap, b, bp = dirs
+        oriented = -np.cross(a, b) - np.cross(a, bp) - np.cross(ap, b) + np.cross(ap, bp)
+        return chsh_model(a, ap, b, bp), oriented
+    if kind not in ("ghz3", "ghz4"):
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    _, (_, f, _, oriented) = ghz_values(kind, [dirs], *([v] for v in numbers), table=table)
+    return float(f[0]), oriented[0]

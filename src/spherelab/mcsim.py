@@ -39,7 +39,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,21 +140,18 @@ class LambdaStream:
 
 class ExperimentKind(NamedTuple):
     """What one kind of experiment takes: the names of its unit directions (one
-    per site), the names of its real state parameters, and its product point
-    point(*directions, *numbers, table)."""
+    per site) and the names of its real state parameters. Its product point is
+    lrmodel.product_point(kind, directions, numbers, table)."""
 
     directions: tuple
     numbers: tuple
-    point: Callable[..., lrmodel.DecompositionResult]
 
 
 EXPERIMENTS = {
-    "singlet": ExperimentKind(("a", "b"), (),
-                              lambda a, b, table: lrmodel.singlet_product_point(a, b)),
-    "chsh": ExperimentKind(("a", "ap", "b", "bp"), (),
-                           lambda a, ap, b, bp, table: lrmodel.chsh_product_point(a, ap, b, bp)),
-    "ghz3": ExperimentKind(("n1", "n2", "n3"), ("alpha", "delta"), lrmodel.ghz3_product_point),
-    "ghz4": ExperimentKind(("n1", "n2", "n3", "n4"), (), lrmodel.ghz4_product_point),
+    "singlet": ExperimentKind(("a", "b"), ()),
+    "chsh": ExperimentKind(("a", "ap", "b", "bp"), ()),
+    "ghz3": ExperimentKind(("n1", "n2", "n3"), ("alpha", "delta")),
+    "ghz4": ExperimentKind(("n1", "n2", "n3", "n4"), ()),
 }
 
 
@@ -194,9 +191,6 @@ class Experiment:
 
     def __hash__(self):
         return hash(self._key())
-
-    def product_point(self, table=None) -> lrmodel.DecompositionResult:
-        return EXPERIMENTS[self.kind].point(*self.directions, *self.numbers, table)
 
     def to_json_obj(self) -> dict:
         spec = EXPERIMENTS[self.kind]
@@ -314,8 +308,8 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleReport:
     The scalar component of every trial's point is the same f, so
     scalar_mean is f exactly; the oriented mean is w * mean(sign).
     """
-    point = config.experiment.product_point(config.table)
-    f, w = point.f, point.oriented
+    e = config.experiment
+    f, w = lrmodel.product_point(e.kind, e.directions, e.numbers, config.table)
     n = config.trials
 
     stream = LambdaStream(config.seed, config.distribution)

@@ -140,9 +140,6 @@ class ComparisonReport:
         CSV. The chunk methods are looked up on each call."""
         return chain(self.json_chunks(), "\n") if fmt == "json" else self.csv_chunks()
 
-    def to_json(self) -> str:
-        return "".join(self.json_chunks())
-
     @classmethod
     def from_json(cls, doc: str) -> "ComparisonReport":
         data = json.loads(doc)

@@ -2,8 +2,9 @@
 those classes, must be reached by the program or by its documented surface:
 the rest of src/, the README, the benchmark harness (perfbench/*.py) or the
 acceptance suite. A method is reached only through an attribute reference
-(`.name`), since a bare identifier of the same name is some other binding; a
-method that overrides a base-class method is a hook the base class calls, and
+(`.name`), since a bare identifier of the same name is some other binding, and
+not through an attribute read off a module (`np.linalg.norm`); a method that
+overrides a base-class method is a hook the base class calls, and
 is exempt. A name that only other tests reach is library API kept for them
 alone; it stays only when TEST_REFERENCES names the test that compares against
 it, so test-only API cannot grow back unnoticed."""
@@ -12,6 +13,8 @@ import ast
 import collections
 import functools
 import importlib
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -33,11 +36,47 @@ TEST_REFERENCES = {
 }
 
 
+@functools.cache
+def _module(dotted: str):
+    """The module of a dotted name, or None when it names no module that imports."""
+    try:
+        return importlib.import_module(dotted)
+    except ImportError:
+        return None
+
+
+def _imported(tree: ast.Module) -> dict:
+    """name -> the dotted name it is bound to, for each name a file's imports bind."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                top = a.name.split(".")[0]  # `import x.y` binds x
+                bound[a.asname or top] = a.name if a.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "spherelab")
+            bound.update({a.asname or a.name: f"{base}.{a.name}" for a in node.names})
+    return bound
+
+
 def _references(path: Path) -> list:
     """(identifier, line, is_attribute) for every name, attribute, imported
     name and identifier-like string constant in a Python file; a name inside a
-    function that one of its parameters binds is the parameter's."""
+    function that one of its parameters binds is the parameter's, and an
+    attribute read off a module, found by importing what the file imports, is
+    no attribute reference."""
     out = []
+    tree = ast.parse(path.read_text())
+    bound = _imported(tree)
+
+    def module_of(node, params):
+        """The module that an expression names, or None."""
+        value = None
+        if isinstance(node, ast.Name) and node.id in bound and node.id not in params:
+            value = _module(bound[node.id])
+        elif isinstance(node, ast.Attribute):
+            value = getattr(module_of(node.value, params), node.attr, None)
+        return value if inspect.ismodule(value) else None
 
     def visit(node, params):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
@@ -47,7 +86,7 @@ def _references(path: Path) -> list:
         if isinstance(node, ast.Name) and node.id not in params:
             out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno, True))
+            out.append((node.attr, node.lineno, module_of(node.value, params) is None))
         elif isinstance(node, ast.alias):
             out.append((node.name.split(".")[-1], node.lineno, False))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
@@ -55,7 +94,7 @@ def _references(path: Path) -> list:
         for child in ast.iter_child_nodes(node):
             visit(child, params)
 
-    visit(ast.parse(path.read_text()), frozenset())
+    visit(tree, frozenset())
     return out
 
 

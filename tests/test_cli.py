@@ -768,7 +768,7 @@ def test_comparison_reports_stream_to_the_atomic_writer(tmp_path, monkeypatch):
     report = compare.compare_singlet(samples=5, seed=1)
     for fmt in ("json", "csv"):
         path = cli.write_report(report, tmp_path / f"r.{fmt}", fmt)
-        want = report.to_json() + "\n" if fmt == "json" else "".join(report.chunks("csv"))
+        want = "".join(report.json_chunks()) + "\n" if fmt == "json" else "".join(report.chunks("csv"))
         assert path.read_text() == want
     assert len(handed) == 2
     assert all(isinstance(text, Iterator) and not isinstance(text, str) for text in handed)
@@ -877,6 +877,12 @@ def test_parse_errors_return_two_with_one_line(argv, capsys):
 ], ids=("hardy-flags-for-chsh", "ghz-flags-for-hardy", "config-starts", "config-alpha",
         "table-for-chsh", "config-table-for-hardy"))
 def test_model_flags_that_do_not_fit_which_exit_two(argv, config, message, tmp_path, capsys):
+    _check_exits_two(argv, config, message, tmp_path, capsys)
+
+
+def _check_exits_two(argv, config, message, tmp_path, capsys):
+    """argv, with config as a --config file, exits 2 with one line starting
+    `error: message` and writes no artifact."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -886,6 +892,53 @@ def test_model_flags_that_do_not_fit_which_exit_two(argv, config, message, tmp_p
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+SINGLET_ANGLES = ("--angles", "0,0,120,0", "--unit", "deg")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("mc", "--experiment", "singlet", *SINGLET_ANGLES, "--trials", "1000", "--alpha", "20",
+      "--delta", "3", "--table", "cyclic-124-mirror"), None,
+     "--table is read only for --experiment ghz3 or ghz4, not singlet"),
+    (("mc", "--experiment", "chsh", "--angles", "0,90,225,135", "--unit", "deg", "--trials", "10",
+      "--alpha", "5"), None, "--alpha is read only for --experiment ghz3, not chsh"),
+    (("mc", "--experiment", "singlet", *SINGLET_ANGLES, "--trials", "10"), {"alpha": 3},
+     "--alpha is read only for --experiment ghz3, not singlet"),
+    (("qm", "--state", "singlet", *SINGLET_ANGLES, "--alpha", "20", "--theta", "7"), None,
+     "--theta is read only for --state hardy, not singlet"),
+    (("qm", "--state", "hardy", "--theta", "30", "--unit", "deg", "--angles", "1,2,3"), None,
+     "--angles is read only for --state singlet or ghz3 or ghz4, not hardy"),
+    (("qm", "--state", "ghz4", "--angles", "30,10,70,20,110,30,150,40", "--unit", "deg",
+      "--theta", "4"), None, "--theta is read only for --state hardy, not ghz4"),
+    (("qm", "--state", "ghz4", "--angles", "30,10,70,20,110,30,150,40", "--unit", "deg"),
+     {"delta": 4}, "--delta is read only for --state ghz3, not ghz4"),
+], ids=("mc-table-for-singlet", "mc-alpha-for-chsh", "mc-config-alpha", "qm-theta-for-singlet",
+        "qm-angles-for-hardy", "qm-theta-for-ghz4", "qm-config-delta"))
+def test_qm_and_mc_flags_that_do_not_fit_the_setting_exit_two(argv, config, message, tmp_path,
+                                                              capsys):
+    _check_exits_two(argv, config, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (("model", "--which", "singlet"), {"angles": [0, 0, 120, 0], "alpha": 3, "theta": 5},
+     "'alpha' is read only for --which ghz3, not singlet"),
+    (("model", "--which", "chsh"), {"angles": [0, 90, 225, 135], "theta": 5},
+     "'theta' is read only for --which hardy, not chsh"),
+    (("model", "--which", "hardy"), {"angles": [1, 2], "theta": 30},
+     "'angles' is read only for --which singlet or chsh or ghz3 or ghz4, not hardy"),
+    (("qm", "--state", "hardy"), {"theta": 30, "delta": 3},
+     "'delta' is read only for --state ghz3, not hardy"),
+    (("mc", "--experiment", "singlet", "--trials", "10"), {"angles": [0, 0, 120, 0], "theta": 5},
+     "'theta' is not read by mc"),
+], ids=("model-alpha-for-singlet", "model-theta-for-chsh", "model-angles-for-hardy",
+        "qm-delta-for-hardy", "mc-theta"))
+def test_angles_file_keys_the_setting_does_not_read_exit_two(argv, content, message, tmp_path,
+                                                             capsys):
+    path = tmp_path / "angles.json"
+    path.write_text(json.dumps(content))
+    _check_exits_two(argv + ("--angles-file", str(path), "--unit", "deg"), None,
+                     f"angles file: {message}", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -64,8 +64,8 @@ def test_one_tuple_wrappers_are_kernel_rows():
     assert value == pinned and [r.label for r in report.rows] == [
         "ghz4.pinned_z_vs_oracle", "ghz4.table_vs_lagrange", "ghz4.table_vs_pinned_z",
         "ghz4.oriented_magnitude"]
-    point = lrmodel.ghz4_product_point(*dirs)
-    assert point.f == value_table and np.array_equal(point.oriented, deviation)
+    f, oriented = lrmodel.product_point("ghz4", dirs)
+    assert f == value_table and np.array_equal(oriented, deviation)
 
 
 def _per_tuple_rows(which, samples, seed):

@@ -36,17 +36,30 @@ def test_singlet_model_matches_oracle():
 def test_singlet_product_point_matches_kernel_product():
     for _ in range(200):
         a, b = random_unit_vectors(RNG, 2)
-        point = lrmodel.singlet_product_point(a, b)
+        f, oriented = lrmodel.product_point("singlet", (a, b))
         raw = ga3.geometric_product(ga3.bivector_beable(a, 1), ga3.bivector_beable(b, 1))
-        assert point.f == pytest.approx(raw.s, abs=1e-15)
-        assert np.allclose(point.oriented, raw.b, atol=1e-15)
+        assert f == pytest.approx(raw.s, abs=1e-15)
+        assert np.allclose(oriented, raw.b, atol=1e-15)
         sin_ab = float(np.linalg.norm(np.cross(a, b)))
-        assert point.g == pytest.approx(sin_ab, abs=1e-14)
+        assert np.linalg.norm(oriented) == pytest.approx(sin_ab, abs=1e-14)
         # the handed point at both orientations
         for orientation in (1, -1):
             ff, ww = ga3.beable_product_point(a, b, orientation)
-            assert point.f == pytest.approx(ff, abs=1e-15)
-            assert np.allclose(orientation * point.oriented, ww, atol=1e-15)
+            assert f == pytest.approx(ff, abs=1e-15)
+            assert np.allclose(orientation * oriented, ww, atol=1e-15)
+
+
+def test_chsh_product_point_is_the_signed_sum_of_the_pair_products():
+    # (f, N) is the +,+,+,- combination of the four beable-pair products
+    # a b, a b', a' b and a' b', scalar and bivector parts alike.
+    for _ in range(200):
+        dirs = random_unit_vectors(RNG, 4)
+        f, oriented = lrmodel.product_point("chsh", dirs)
+        a, ap, b, bp = (ga3.bivector_beable(v, 1).comps for v in dirs)
+        ab, abp, apb, apbp = (ga3._gp_components(x, y) for x, y in ((a, b), (a, bp), (ap, b), (ap, bp)))
+        want = ab + abp + apb - apbp
+        assert f == pytest.approx(want[0], abs=1e-14)
+        assert np.array_equal(oriented, want[4:7])
 
 
 def test_chsh_model_known_quadruples():
@@ -184,7 +197,7 @@ def test_ghz_mode_validation():
 
 def test_comparison_report_round_trips():
     _, report = lrmodel.ghz4_model(*random_unit_vectors(RNG, 4))
-    back = ComparisonReport.from_json(report.to_json())
+    back = ComparisonReport.from_json("".join(report.json_chunks()))
     assert back.rows == report.rows
     assert back.meta == report.meta
     csv_text = "".join(report.chunks("csv"))
@@ -194,7 +207,7 @@ def test_comparison_report_round_trips():
     assert "".join(empty.chunks("csv")) == "label,model,oracle,residual,tolerance,verdict\n"
 
 
-def _check_grouped_oct_product(embedded, product_point):
+def _check_grouped_oct_product(embedded, point):
     # The grouped product (v1 v2)(v3 v4) of the embedded pure unit points,
     # taken with the oct product kernel, is the GHZ kernel's table value and
     # deviation and the product point's f and N, for every built-in table.
@@ -209,17 +222,17 @@ def _check_grouped_oct_product(embedded, product_point):
         assert np.max(np.abs(grouped[:, 1:] - deviation)) <= 1e-14
         assert np.max(np.abs(np.sum(grouped * grouped, axis=1) - 1.0)) <= 1e-12
         for i in (0, 99):
-            point = product_point(i, table)
-            assert point.f == pytest.approx(grouped[i, 0], abs=1e-14)
-            assert point.g == pytest.approx(np.linalg.norm(grouped[i, 1:]), abs=1e-14)
-            assert np.max(np.abs(point.oriented - grouped[i, 1:])) <= 1e-14
+            f, oriented = point(i, table)
+            assert f == pytest.approx(grouped[i, 0], abs=1e-14)
+            assert np.linalg.norm(oriented) == pytest.approx(np.linalg.norm(grouped[i, 1:]), abs=1e-14)
+            assert np.max(np.abs(oriented - grouped[i, 1:])) <= 1e-14
 
 
 def test_decomposition_ghz4_matches_table_mode():
     dirs = random_unit_vectors(RNG, 400).reshape(4, 100, 3)
     _check_grouped_oct_product(
         sphere7.embed_ghz4(*dirs),
-        lambda i, table: lrmodel.ghz4_product_point(*dirs[:, i], table=table),
+        lambda i, table: lrmodel.product_point("ghz4", dirs[:, i], table=table),
     )
 
 
@@ -229,5 +242,5 @@ def test_decomposition_ghz3_matches_table_mode():
     alpha, delta = RNG.uniform(0, np.pi, 100), RNG.uniform(0, 2 * np.pi, 100)
     _check_grouped_oct_product(
         sphere7.embed_ghz3(*dirs, alpha, delta),
-        lambda i, table: lrmodel.ghz3_product_point(*dirs[:, i], alpha[i], delta[i], table=table),
+        lambda i, table: lrmodel.product_point("ghz3", dirs[:, i], (alpha[i], delta[i]), table),
     )

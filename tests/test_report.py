@@ -63,14 +63,14 @@ def test_template_writer_matches_json_dumps_and_csv_writer(rows, meta, chunk):
     old_chunk = report_module.CHUNK_ROWS
     report_module.CHUNK_ROWS = chunk  # several chunks, and chunk edges, in small reports
     try:
-        assert report.to_json() == reference_json(rows, meta)
+        assert "".join(report.json_chunks()) == reference_json(rows, meta)
         assert "".join(report.chunks("csv")) == reference_csv(rows)
     finally:
         report_module.CHUNK_ROWS = old_chunk
 
 
 def test_empty_report_layout():
-    assert ComparisonReport([]).to_json() == '{\n  "meta": {},\n  "rows": []\n}'
+    assert "".join(ComparisonReport([]).json_chunks()) == '{\n  "meta": {},\n  "rows": []\n}'
     assert "".join(ComparisonReport([]).chunks("csv")) == ",".join(CSV_COLUMNS) + "\n"
 
 
@@ -79,7 +79,7 @@ def test_rows_view_and_verdicts_derive_from_the_columns():
         ["a", "b", "c", "d"], [1.0, math.nan, 2.0, math.inf], [1.0, 0.0, 0.0, math.inf],
         [0.0, math.inf, math.inf, 1.0])
     assert report.verdicts() == ["match", "mismatch", "match", "mismatch"]
-    back = ComparisonReport.from_json(report.to_json())
+    back = ComparisonReport.from_json("".join(report.json_chunks()))
     assert [r.label for r in back.rows] == ["a", "b", "c", "d"]
     assert [r.label for r in report.mismatches()] == ["b", "d"]
     csv_text = "".join(report.chunks("csv"))
