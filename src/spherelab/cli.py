@@ -8,8 +8,11 @@ compare.chsh_sweep_table, mcsim.EnsembleReport), and _emit is the one place
 that writes it, atomically, and prints `wrote PATH`. The settings of qm,
 model and mc are parsed in one place (_setting), into a
 spherelab.mcsim.Experiment whose kind in mcsim.EXPERIMENTS names the
-directions and numbers it takes; one table, SETTING_FLAGS, says which
-settings read each flag and --angles-file key.
+directions and numbers it takes. One table, OPTIONS, declares every flag
+once: the commands that take it and its default on each, its type (which
+also gives its --config type), its choices, whether it must be >= 1, and
+the settings that read it and its --angles-file key. build_parser and
+_merge_config take each of these facts from it alone.
 
 Conventions:
   * every angle-bearing flag is interpreted per --unit {deg, rad}, which is
@@ -34,6 +37,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,87 +117,130 @@ def write_report(report, path, fmt: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-# Option defaults applied after config merging; flags are parsed with a None
-# sentinel so precedence is flag > config file > default.
-COMMAND_DEFAULTS = {
-    "identities": {"seed": 0, "samples": 10_000, "table": "all"},
-    "model": {"seed": 20240901, "mode": "pinned_z", "starts": 32},
-    "solve-hardy": {"seed": 20240901, "starts": 32},
-    "scan-chsh": {"seed": 0, "count": 100_000, "format": "csv"},
-    "mc": {"seed": 0, "trials": 1_000_000, "weight_plus": 0.5, "workers": 1},
-    "compare": {"seed": 7, "state": "all", "samples": 500},
-}
+# The flag that picks the setting of qm, model and mc; it must be given.
+SETTINGS = {"qm": "state", "model": "which", "mc": "experiment"}
 
-# Counts that must be >= 1. They are checked after config merging, so a value
-# from --config (whose type is checked like a flag's) is held to the same rule.
-POSITIVE_OPTIONS = {"identities": ("samples",), "compare": ("samples",), "mc": ("workers",),
-                    "model": ("starts",), "solve-hardy": ("starts",)}
+COMMANDS = ("identities", "qm", "model", "solve-hardy", "scan-chsh", "mc", "compare")
+GHZ = ("ghz3", "ghz4")
 
-# JSON types a --config value may have, by what its flag parses to. An int
-# flag takes an integer that is not a boolean, a float flag any number;
-# --angles also takes the numbers themselves and --tolerance the CLASS=VALUE
-# items it would be given repeatedly.
+
+class Option(NamedTuple):
+    """One flag. commands: each command that takes it -> its default there,
+    filled after --config merging (precedence: flag > config file > default).
+    type: what the flag parses to (bool a switch, list a repeatable flag),
+    the key of its --config type in CONFIG_TYPES. choices and help may be
+    given per command, as {command: value}. positive: it must be >= 1.
+    readers: the settings of qm, model and mc that read the flag and the
+    --angles-file key of its name (None: every setting)."""
+
+    commands: dict
+    type: type | tuple = str
+    choices: tuple | dict | None = None
+    positive: bool = False
+    readers: tuple | None = None
+    help: str | dict | None = None
+    metavar: str | None = None
+
+
+# JSON types a --config value may have, by its option's type: an int option
+# takes no boolean, and --angles also takes the numbers themselves.
 CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                str: ((str,), "a string"), bool: ((bool,), "true or false")}
-CONFIG_LISTS = {"angles": ((str, list), "a string or a list"), "tolerance": ((list,), "a list")}
+                str: ((str,), "a string"), bool: ((bool,), "true or false"),
+                list: ((list,), "a list"), (str, list): ((str, list), "a string or a list")}
 
-
-# The flag that picks the setting of qm, model and mc, and its choices.
-SETTINGS = {"qm": ("state", ("singlet", "hardy", "ghz3", "ghz4")),
-            "model": ("which", ("singlet", "chsh", "hardy", "ghz3", "ghz4")),
-            "mc": ("experiment", tuple(mcsim.EXPERIMENTS))}
-
-# The flags, and --angles-file keys, that only some settings read: dest -> those settings.
-SETTING_FLAGS = {
-    "theta": ("hardy",), "starts": ("hardy",), "unswapped_b_minus": ("hardy",),
-    "mode": ("ghz3", "ghz4"), "strict_table": ("ghz3", "ghz4"), "table": ("ghz3", "ghz4"),
-    "angles": tuple(mcsim.EXPERIMENTS),
-    **{name: tuple(kind for kind, spec in mcsim.EXPERIMENTS.items() if name in spec.numbers)
+# Every flag of every subcommand, in --help order. A flag's setting check
+# also runs in this order, so the first flag named is the first listed.
+OPTIONS = {
+    "config": Option(dict.fromkeys(COMMANDS),
+                     help="JSON file of option defaults; explicit flags win"),
+    "out": Option(dict.fromkeys(COMMANDS),
+                  help=f"artifact path (relative paths join ${OUTDIR_ENV})"),
+    "format": Option({**dict.fromkeys(COMMANDS, "json"), "scan-chsh": "csv"},
+                     choices=("json", "csv")),
+    "seed": Option({"identities": 0, "model": 20240901, "solve-hardy": 20240901, "scan-chsh": 0,
+                    "mc": 0, "compare": 7}, int),
+    "tolerance": Option(dict.fromkeys(("qm", "model", "solve-hardy", "compare")), list,
+                        metavar="CLASS=VALUE", help=f"override a tolerance class (repeatable); "
+                                                    f"classes: {', '.join(DEFAULT_TOLERANCES)}"),
+    "unit": Option(dict.fromkeys(("qm", "model", "solve-hardy", "mc")), choices=("deg", "rad"),
+                   help="unit for every angle flag (mandatory when angles are given)"),
+    "angles": Option(dict.fromkeys(SETTINGS), (str, list), readers=tuple(mcsim.EXPERIMENTS),
+                     help="comma-separated angles; interpretation depends on command"),
+    "angles_file": Option(dict.fromkeys(SETTINGS), help='JSON file: {"angles": [...], ...}'),
+    "state": Option({"qm": None, "compare": "all"},
+                    choices={"qm": ("singlet", "hardy", *GHZ),
+                             "compare": ("singlet", "chsh", "hardy", *GHZ, "all")}),
+    "which": Option({"model": None}, choices=("singlet", "chsh", "hardy", *GHZ)),
+    "experiment": Option({"mc": None}, choices=tuple(mcsim.EXPERIMENTS)),
+    "theta_grid": Option({"solve-hardy": None}, help="start:stop:count (in --unit)"),
+    "samples": Option({"identities": 10_000, "compare": 500}, int, positive=True),
+    "count": Option({"scan-chsh": 100_000}, int),
+    "theta": Option(dict.fromkeys(("qm", "model")), float, readers=("hardy",),
+                    help="hardy parameter (in --unit)"),
+    "mode": Option({"model": "pinned_z"}, choices=lrmodel.GHZ_MODES, readers=GHZ),
+    "trials": Option({"mc": 1_000_000}, int),
+    "weight_plus": Option({"mc": 0.5}, float),
+    "workers": Option({"mc": 1}, int, positive=True),
+    # identities' default, all, runs every table; the other commands take one.
+    "table": Option({"identities": "all", "model": None, "mc": None, "compare": None},
+                    readers=GHZ,
+                    help={"identities": f"cross table: all | {' | '.join(BUILTIN_TABLES)}"}),
+    "starts": Option({"model": 32, "solve-hardy": 32}, int, positive=True, readers=("hardy",)),
+    "strict_table": Option(dict.fromkeys(("model", "compare")), bool, readers=GHZ),
+    "unswapped_b_minus": Option(
+        {"model": None}, bool, readers=("hardy",),
+        help="use the unswapped variant of the minus-outcome point on side b"),
+    **{name: Option(dict.fromkeys(SETTINGS), float, readers=tuple(
+        kind for kind, spec in mcsim.EXPERIMENTS.items() if name in spec.numbers))
        for name in ("alpha", "delta")},
 }
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _for(value, command: str):
+    """An option's choices or help on command, also where given per command."""
+    return value.get(command) if isinstance(value, dict) else value
 
 
 def _not_read(args, dest: str) -> str | None:
     """Why the setting of a qm, model or mc call does not read the flag or
     angles-file key dest, or None when it does or the command has no setting."""
-    if args.command not in SETTINGS:
+    readers = OPTIONS[dest].readers
+    if args.command not in SETTINGS or readers is None:
         return None
-    flag, choices = SETTINGS[args.command]
+    flag = SETTINGS[args.command]
     setting = getattr(args, flag)
-    readers = [kind for kind in choices if kind in SETTING_FLAGS[dest]]
-    if setting in readers:
+    fits = [kind for kind in _for(OPTIONS[flag].choices, args.command) if kind in readers]
+    if setting in fits:
         return None
-    if not readers:
+    if not fits:
         return f"is not read by {args.command}"
-    return f"is read only for --{flag} {' or '.join(readers)}, not {setting}"
+    return f"is read only for {_flag(flag)} {' or '.join(fits)}, not {setting}"
 
 
-def _subcommand_options(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse action for each option flag of a subcommand."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subparsers.choices[command]._actions if a.option_strings}
-
-
-def _check_config_value(action: argparse.Action, value):
-    """UsageError unless a --config value has the JSON type its flag takes and
-    is one of the flag's choices."""
-    if action.dest in CONFIG_LISTS:
-        allowed, want = CONFIG_LISTS[action.dest]
-    else:
-        allowed, want = CONFIG_TYPES[bool if action.nargs == 0 else action.type or str]
+def _check_config_value(command: str, dest: str, value):
+    """UsageError unless a --config value has the JSON type its option takes
+    and is one of the option's choices on command."""
+    opt = OPTIONS[dest]
+    allowed, want = CONFIG_TYPES[opt.type]
     if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-        raise UsageError(f"{action.option_strings[-1]} must be {want}, got {value!r} (from --config)")
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(f"{action.option_strings[-1]} must be one of "
-                         f"{', '.join(action.choices)}, got {value!r} (from --config)")
+        raise UsageError(f"{_flag(dest)} must be {want}, got {value!r} (from --config)")
+    choices = _for(opt.choices, command)
+    if choices is not None and value not in choices:
+        raise UsageError(f"{_flag(dest)} must be one of "
+                         f"{', '.join(choices)}, got {value!r} (from --config)")
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Apply JSON config values beneath explicit flags, then fill defaults.
-    Every key must name one of the subcommand's flags, and its value must
-    have the type that flag takes. A qm, model or mc flag, given or from a
-    key, must be one its setting reads."""
-    if getattr(args, "config", None):
+    Every key must name an option of the subcommand, and its value must have
+    the type that option takes. A table must exist, and a qm, model or mc
+    flag, given or from a key, must be one its setting reads."""
+    command = args.command
+    if args.config:
         try:
             doc = Path(args.config).read_text()
         except OSError as exc:
@@ -204,29 +251,26 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise UsageError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise UsageError("config file must hold a JSON object")
-        options = _subcommand_options(parser, args.command)
         for key, value in data.items():
             attr = key.replace("-", "_")
-            if attr not in options:
-                raise UsageError(f"config key {key!r} is not an option of {args.command}")
-            _check_config_value(options[attr], value)
-            current = getattr(args, attr, None)
+            if attr not in OPTIONS or command not in OPTIONS[attr].commands:
+                raise UsageError(f"config key {key!r} is not an option of {command}")
+            _check_config_value(command, attr, value)
+            current = getattr(args, attr)
             if current is None or (current is False and isinstance(value, bool)):
                 setattr(args, attr, value)
-    if args.command in SETTINGS:  # before the defaults fill --starts and --mode
-        if getattr(args, "table", None) is not None:
-            get_table(args.table)  # an unknown table is named before a table off ghz3/ghz4
-        for dest in SETTING_FLAGS:
-            why = getattr(args, dest, None) not in (None, False) and _not_read(args, dest)
-            if why:
-                raise UsageError(f"--{dest.replace('_', '-')} {why}")
-    for key, value in COMMAND_DEFAULTS.get(args.command, {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    for key in POSITIVE_OPTIONS.get(args.command, ()):
-        value = getattr(args, key)
-        if value < 1:
-            raise UsageError(f"--{key} must be an integer >= 1, got {value!r}")
+    table = getattr(args, "table", None)
+    if table not in (None, OPTIONS["table"].commands.get(command)):  # identities' all
+        get_table(table)  # an unknown table is named before a table off ghz3/ghz4
+    for dest in OPTIONS:  # before the defaults fill --starts and --mode
+        why = getattr(args, dest, None) not in (None, False) and _not_read(args, dest)
+        if why:
+            raise UsageError(f"{_flag(dest)} {why}")
+    for dest, opt in OPTIONS.items():
+        if command in opt.commands and getattr(args, dest) is None:
+            setattr(args, dest, opt.commands[command])
+        if opt.positive and getattr(args, dest, 1) < 1:
+            raise UsageError(f"{_flag(dest)} must be an integer >= 1, got {getattr(args, dest)!r}")
     return args
 
 
@@ -250,16 +294,19 @@ def _finite(flag: str, values: list) -> list:
     return values
 
 
+ANGLES_FILE_KEYS = ("angles", "alpha", "delta", "theta")
+
+
 def _load_angles(args, directions: bool = True) -> list[float]:
     """The numbers of --angles or --angles-file, whose alpha, delta and theta fill
     unset flags; "angles" may be left out of it without directions (hardy).
-    A key of the file that the setting does not read is a UsageError."""
-    if getattr(args, "angles", None) and getattr(args, "angles_file", None):
+    Any other key, or one that the setting does not read, is a UsageError."""
+    if args.angles and args.angles_file:
         raise UsageError("give either --angles or --angles-file, not both")
-    if getattr(args, "angles", None):
+    if args.angles:
         values = _parse_float_list(args.angles) if isinstance(args.angles, str) else args.angles
         return [float(x) for x in _finite("--angles", values)]
-    if getattr(args, "angles_file", None):
+    if args.angles_file:
         path = Path(args.angles_file)
         if not path.exists():
             raise UsageError(f"angles file not found: {path}")
@@ -270,9 +317,13 @@ def _load_angles(args, directions: bool = True) -> list[float]:
         angles = data.get("angles", None if directions else []) if isinstance(data, dict) else None
         if not isinstance(angles, list):
             raise UsageError('angles file must hold a JSON object with an "angles" list')
+        for key in data:
+            if key not in ANGLES_FILE_KEYS:
+                raise UsageError(f"angles file: key {key!r} is not one of "
+                                 f"{', '.join(ANGLES_FILE_KEYS)}")
         if not all(_is_number(x) for x in angles):
             raise UsageError(f'angles file: "angles" must hold numbers, got {angles!r}')
-        keys = [key for key in ("alpha", "delta", "theta") if key in data]
+        keys = [key for key in ANGLES_FILE_KEYS[1:] if key in data]
         for key in keys:
             if not _is_number(data[key]):
                 raise UsageError(f"angles file: {key!r} must be a number, got {data[key]!r}")
@@ -293,7 +344,7 @@ def _angle(args, name: str, unit: str) -> float:
 
 
 def _require_unit_flag(args) -> str:
-    if getattr(args, "unit", None) is None:
+    if args.unit is None:
         raise UsageError("angles supplied: --unit {deg,rad} is mandatory")
     return args.unit
 
@@ -317,7 +368,7 @@ def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
         dirs = [spherical_direction(rad[2 * i], rad[2 * i + 1]) for i in range(n_sites)]
     if any(getattr(args, name) is None for name in spec.numbers):
         raise UsageError(f"{' and '.join('--' + name for name in spec.numbers)} required "
-                         f"for --{SETTINGS[args.command][0]} {kind}")
+                         f"for {_flag(SETTINGS[args.command])} {kind}")
     numbers = [_angle(args, name, unit) for name in spec.numbers]
     return mcsim.Experiment(kind, tuple(dirs), tuple(numbers)), rad
 
@@ -325,10 +376,10 @@ def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
 def _theta(args) -> float:
     """--theta of the hardy setting, in radians; without the flag, the theta
     key of --angles-file."""
-    if args.theta is None and getattr(args, "angles_file", None):
+    if args.theta is None and args.angles_file:
         _load_angles(args, directions=False)  # sets args.theta from the file's theta key
     if args.theta is None:
-        raise UsageError(f"--theta required for --{SETTINGS[args.command][0]} hardy")
+        raise UsageError(f"--theta required for {_flag(SETTINGS[args.command])} hardy")
     return _angle(args, "theta", _require_unit_flag(args))
 
 
@@ -338,20 +389,20 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise UsageError(f"grid must be start:stop:count, got {text!r}")
-    if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError(f"grid needs count >= 1 and finite bounds, got {text!r}")
+    # stop - start too: np.linspace would overflow it to NaN, with warnings.
+    if count < 1 or not all(math.isfinite(x) for x in (start, stop, stop - start)):
+        raise UsageError(f"grid needs count >= 1 and finite bounds and span, got {text!r}")
     return np.linspace(start, stop, count)
 
 
 def _tolerances(args) -> dict:
     """DEFAULT_TOLERANCES with any --tolerance CLASS=VALUE overrides applied."""
     tol = dict(DEFAULT_TOLERANCES)
-    for item in getattr(args, "tolerance", None) or []:
+    for item in args.tolerance or []:
         key, _, value = str(item).partition("=")
         if key not in tol or not value:
-            raise UsageError(
-                f"--tolerance takes CLASS=VALUE with CLASS in {sorted(tol)}, got {item!r}"
-            )
+            raise UsageError(f"--tolerance takes CLASS=VALUE with CLASS in {sorted(tol)}, "
+                             f"got {item!r}")
         try:
             tol[key] = float(value)
         except ValueError:
@@ -362,11 +413,11 @@ def _tolerances(args) -> dict:
 
 
 def _emit(args, report) -> int:
-    """Write the artifact in --format (json by default) if --out is given;
+    """Write the artifact in --format if --out is given;
     for a comparison, print the summary and exit 1 iff a gated row
     mismatches (a NaN residual included)."""
     if args.out:
-        print(f"wrote {write_report(report, args.out, args.format or 'json')}")
+        print(f"wrote {write_report(report, args.out, args.format)}")
     if isinstance(report, ComparisonReport):
         residual = report.residual
         size = np.abs(residual)
@@ -392,9 +443,7 @@ def _emit(args, report) -> int:
 
 
 def cmd_identities(args) -> int:
-    tables = None if args.table in (None, "all") else [args.table]
-    if tables:
-        get_table(args.table)  # a ValueError for a table that does not exist, before any build
+    tables = None if args.table == "all" else [args.table]
     report = identities.full_identity_report(samples=args.samples, seed=args.seed, tables=tables)
     return _emit(args, report)
 
@@ -464,8 +513,6 @@ def cmd_mc(args) -> int:
 
 def cmd_compare(args) -> int:
     tol = _tolerances(args)
-    if args.table is not None:
-        get_table(args.table)  # a ValueError for a table that does not exist, before any build
     report = compare.build_comparison(args.state, args.samples, args.seed, args.table, tol)
     return _emit(args, compare.strict_table(report, tol["algebraic"]) if args.strict_table else report)
 
@@ -473,25 +520,6 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-
-def _add_common(p, *, angles=False, seed=True, tolerance=False):
-    """The flags every subcommand takes, plus --seed and --tolerance where the
-    subcommand reads them and --unit, --angles and --angles-file with angles."""
-    p.add_argument("--config", help="JSON file of option defaults; explicit flags win")
-    p.add_argument("--out", help=f"artifact path (relative paths join ${OUTDIR_ENV})")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    if seed:
-        p.add_argument("--seed", type=int, default=None)
-    if tolerance:
-        p.add_argument("--tolerance", action="append", default=None, metavar="CLASS=VALUE",
-                       help=f"override a tolerance class (repeatable); classes: "
-                            f"{', '.join(DEFAULT_TOLERANCES)}")
-    if angles:
-        p.add_argument("--unit", choices=("deg", "rad"), default=None,
-                       help="unit for every angle flag (mandatory when angles are given)")
-        p.add_argument("--angles", help="comma-separated angles; interpretation depends on command")
-        p.add_argument("--angles-file", help='JSON file: {"angles": [...], ...}')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,74 +530,38 @@ def build_parser() -> argparse.ArgumentParser:
         "and comparison reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identities", help="run the algebraic identity sweeps")
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--table", default=None, help=f"cross table: all | {' | '.join(BUILTIN_TABLES)}")
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("qm", help="brute-force oracle values vs closed forms")
-    _add_common(p, angles=True, seed=False, tolerance=True)
-    p.add_argument("--state", required=True, choices=SETTINGS["qm"][1])
-    p.add_argument("--theta", type=float, default=None, help="hardy parameter (in --unit)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.set_defaults(func=cmd_qm)
-
-    p = sub.add_parser("model", help="model evaluations")
-    _add_common(p, angles=True, tolerance=True)
-    p.add_argument("--which", required=True, choices=SETTINGS["model"][1])
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--mode", choices=lrmodel.GHZ_MODES, default=None)
-    p.add_argument("--table", default=None)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--strict-table", action="store_true")
-    p.add_argument("--unswapped-b-minus", action="store_true",
-                   help="use the unswapped variant of the minus-outcome point on side b")
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("solve-hardy", help="solve the angle system over a theta grid")
-    _add_common(p, tolerance=True)
-    p.add_argument("--unit", choices=("deg", "rad"), default=None)
-    p.add_argument("--theta-grid", default=None, help="start:stop:count (in --unit)")
-    p.add_argument("--starts", type=int, default=None)
-    p.set_defaults(func=cmd_solve_hardy)
-
-    p = sub.add_parser("scan-chsh", help="coplanar CHSH sweep (plot-ready CSV)")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=None)
-    p.set_defaults(func=cmd_scan_chsh)
-
-    p = sub.add_parser("mc", help="seeded hidden-orientation ensembles")
-    _add_common(p, angles=True)
-    p.add_argument("--experiment", required=True, choices=SETTINGS["mc"][1])
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--weight-plus", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--table", default=None)
-    p.set_defaults(func=cmd_mc)
-
-    p = sub.add_parser("compare", help="full model-vs-oracle comparison report")
-    _add_common(p, tolerance=True)
-    p.add_argument("--state", default=None,
-                   choices=("singlet", "chsh", "hardy", "ghz3", "ghz4", "all"))
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--table", default=None)
-    p.add_argument("--strict-table", action="store_true")
-    p.set_defaults(func=cmd_compare)
-
+    handlers = {
+        "identities": ("run the algebraic identity sweeps", cmd_identities),
+        "qm": ("brute-force oracle values vs closed forms", cmd_qm),
+        "model": ("model evaluations", cmd_model),
+        "solve-hardy": ("solve the angle system over a theta grid", cmd_solve_hardy),
+        "scan-chsh": ("coplanar CHSH sweep (plot-ready CSV)", cmd_scan_chsh),
+        "mc": ("seeded hidden-orientation ensembles", cmd_mc),
+        "compare": ("full model-vs-oracle comparison report", cmd_compare),
+    }
+    for command, (summary, func) in handlers.items():
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=func)
+        for dest, opt in OPTIONS.items():
+            if command not in opt.commands:
+                continue
+            # Flags parse to None (a switch to False), so _merge_config can
+            # tell a flag given from one to fill from --config or a default.
+            if opt.type is bool:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"action": "append" if opt.type is list else "store",
+                          "type": opt.type if opt.type in (int, float) else None,
+                          "choices": _for(opt.choices, command), "metavar": opt.metavar,
+                          "required": dest == SETTINGS.get(command)}
+            p.add_argument(_flag(dest), help=_for(opt.help, command), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = _merge_config(parser.parse_args(argv), parser)
+        args = _merge_config(parser.parse_args(argv))
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

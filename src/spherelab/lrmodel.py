@@ -394,13 +394,13 @@ def scan_hardy(thetas, *, starts: int = 32, seed: int = 20240901, tol: float = 1
     `tol`. A solved point lists no failing equation; at any other, equation i
     fails, listed worst first, iff |r_i| > _FAILING_SHARE * norm, so at least
     one does (max |r_i| >= norm / sqrt(13)) whatever `tol` is.  Raises
-    ValueError when starts < 1 or a theta is not finite.
+    ValueError when starts < 1 or a theta fails qmref.check_hardy_theta.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if not np.isfinite(thetas).all():
-        raise ValueError(f"theta must be finite, got {thetas[~np.isfinite(thetas)][0]!r}")
+    for theta in thetas.tolist():  # the reported thetas, not the lone one's companion
+        qmref.check_hardy_theta(theta)
     reported = len(thetas)
     if reported == 1:
         thetas = np.append(thetas, thetas[0] + _LONE_COMPANION_OFFSET)

@@ -90,13 +90,20 @@ def singlet_state() -> StateVector:
     return StateVector(2, np.array([0.0, 1.0, -1.0, 0.0]) / _SQ2)
 
 
+def check_hardy_theta(theta: float) -> None:
+    """ValueError unless theta is finite and in [0, pi/2], the Hardy domain."""
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+
+
 def hardy_state(theta: float) -> StateVector:
     """One-parameter family with amplitudes
     (cos t (|+-> + |-+>) - sin t |++>) / sqrt(1 + cos^2 t);
     maximally entangled at t = 0, product state -|++> at t = pi/2.
     """
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+    check_hardy_theta(theta)
     ct, st = np.cos(theta), np.sin(theta)
     amps = np.array([-st, ct, ct, 0.0]) / np.sqrt(1.0 + ct**2)
     return StateVector(2, amps)

@@ -156,9 +156,17 @@ def test_loosened_tolerance_names_a_worst_equation_on_every_flagged_row(tmp_path
     assert len(flagged) == 5 and all(" worst=" in line for line in flagged)
 
 
-def test_solve_hardy_bad_grid():
+def test_solve_hardy_bad_grid(capsys):
     assert run_cli("solve-hardy", "--theta-grid", "0:90", "--unit", "deg") == 2
     assert run_cli("solve-hardy", "--theta-grid", "0:90:3") == 2  # no unit
+    capsys.readouterr()
+    # Finite bounds whose span overflows: np.linspace would give NaN, with warnings.
+    assert run_cli("solve-hardy", "--theta-grid", "1e308:-1e308:2", "--unit", "rad") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1
+    # The grid's thetas have the domain of qm --state hardy.
+    assert run_cli("solve-hardy", "--theta-grid", "100:200:2", "--unit", "deg") == 2
+    assert capsys.readouterr().err.startswith("error: theta must lie in [0, pi/2]")
 
 
 def test_scan_chsh_csv(tmp_path):
@@ -960,6 +968,32 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: config key {key!r} is not an option of {argv[0]}\n"
 
 
+def test_every_flag_of_every_subcommand_is_its_options_entry():
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert set(subparsers) == {command for opt in cli.OPTIONS.values() for command in opt.commands}
+    for command, parser in subparsers.items():
+        flags = {a.dest: a.option_strings for a in parser._actions if a.dest != "help"}
+        entries = {dest: [cli._flag(dest)] for dest, opt in cli.OPTIONS.items()
+                   if command in opt.commands}
+        assert flags == entries, command
+
+
+def test_every_default_passes_its_options_own_checks():
+    for dest, opt in cli.OPTIONS.items():
+        for command, default in opt.commands.items():
+            if default is not None:
+                cli._check_config_value(command, dest, default)
+                assert not opt.positive or default >= 1, (command, dest)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_subcommand_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: spherelab {command}")
+
+
 def test_artifact_mode_follows_umask(tmp_path):
     old = os.umask(0o022)
     try:
@@ -1036,6 +1070,7 @@ def test_module_entry_point_runs_without_runtime_warning():
 @pytest.mark.parametrize("config, key", [
     ({"sample": 3, "state": "singlet"}, "sample"),
     ({"state": "singlet", "samples": 3, "which": "chsh"}, "which"),
+    ({"state": "singlet", "samples": 3, "help": True}, "help"),
 ])
 def test_unknown_config_keys_are_rejected(config, key, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -1053,6 +1088,7 @@ def test_unknown_config_keys_are_rejected(config, key, tmp_path, capsys):
     {"angles": [0, 90, 225, 135], "theta": "x"},  # a non-numeric theta
     {"angles": "0,90,225,135"},                  # "angles" not a list
     {"angles": [0, 90, "225", 135]},             # a non-numeric angle
+    {"angles": [0, 90, 225, 135], "foo": 1},     # an unknown key
 ])
 def test_malformed_angles_file_exits_two(content, tmp_path, capsys):
     path = tmp_path / "angles.json"

@@ -108,6 +108,14 @@ def test_non_finite_theta_raises_value_error(theta):
         lrmodel.scan_hardy([0.0, theta], starts=2)
 
 
+def test_scan_checks_the_reported_thetas_against_the_hardy_domain():
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2\]"):
+        lrmodel.scan_hardy([0.0, 2.0], starts=2)
+    # pi/2 is in the domain; its lone companion, 5 degrees past it, is not reported.
+    (row,) = lrmodel.scan_hardy([math.pi / 2], starts=2)
+    assert row.theta == math.pi / 2
+
+
 def test_scan_documents_infeasible_thetas():
     rows = lrmodel.scan_hardy(CANONICAL_THETAS)
     assert rows[0].solved and rows[0].angles.residual_norm < 1e-10
