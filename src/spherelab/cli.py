@@ -10,7 +10,7 @@ model and mc are parsed in one place (_setting), into a
 spherelab.mcsim.Experiment whose kind in mcsim.EXPERIMENTS names the
 directions and numbers it takes. One table, OPTIONS, declares every flag
 once: the commands that take it and its default on each, its type (which
-also gives its --config type), its choices, whether it must be >= 1, and
+also gives its --config type), its choices, its lower bound, and
 the settings that read it and its --angles-file key. build_parser and
 _merge_config take each of these facts from it alone.
 
@@ -44,6 +44,7 @@ import numpy as np
 from . import compare, identities, lrmodel, mcsim
 from .compare import DEFAULT_TOLERANCES
 from .geometry import coplanar_direction, spherical_direction, to_radians
+from .qmref import check_hardy_theta
 from .report import ComparisonReport
 from .sphere7 import BUILTIN_TABLES, get_table
 
@@ -129,14 +130,14 @@ class Option(NamedTuple):
     filled after --config merging (precedence: flag > config file > default).
     type: what the flag parses to (bool a switch, list a repeatable flag),
     the key of its --config type in CONFIG_TYPES. choices and help may be
-    given per command, as {command: value}. positive: it must be >= 1.
+    given per command, as {command: value}. minimum: its lower bound, if any.
     readers: the settings of qm, model and mc that read the flag and the
     --angles-file key of its name (None: every setting)."""
 
     commands: dict
     type: type | tuple = str
     choices: tuple | dict | None = None
-    positive: bool = False
+    minimum: int | None = None
     readers: tuple | None = None
     help: str | dict | None = None
     metavar: str | None = None
@@ -173,19 +174,20 @@ OPTIONS = {
     "which": Option({"model": None}, choices=("singlet", "chsh", "hardy", *GHZ)),
     "experiment": Option({"mc": None}, choices=tuple(mcsim.EXPERIMENTS)),
     "theta_grid": Option({"solve-hardy": None}, help="start:stop:count (in --unit)"),
-    "samples": Option({"identities": 10_000, "compare": 500}, int, positive=True),
-    "count": Option({"scan-chsh": 100_000}, int),
+    "samples": Option({"identities": 10_000, "compare": 500}, int, minimum=1),
+    "count": Option({"scan-chsh": 100_000}, int,
+                    minimum=len(lrmodel.OPTIMAL_CHSH_QUADRUPLES)),
     "theta": Option(dict.fromkeys(("qm", "model")), float, readers=("hardy",),
                     help="hardy parameter (in --unit)"),
     "mode": Option({"model": "pinned_z"}, choices=lrmodel.GHZ_MODES, readers=GHZ),
-    "trials": Option({"mc": 1_000_000}, int),
+    "trials": Option({"mc": 1_000_000}, int, minimum=1),
     "weight_plus": Option({"mc": 0.5}, float),
-    "workers": Option({"mc": 1}, int, positive=True),
+    "workers": Option({"mc": 1}, int, minimum=1),
     # identities' default, all, runs every table; the other commands take one.
     "table": Option({"identities": "all", "model": None, "mc": None, "compare": None},
                     readers=GHZ,
                     help={"identities": f"cross table: all | {' | '.join(BUILTIN_TABLES)}"}),
-    "starts": Option({"model": 32, "solve-hardy": 32}, int, positive=True, readers=("hardy",)),
+    "starts": Option({"model": 32, "solve-hardy": 32}, int, minimum=1, readers=("hardy",)),
     "strict_table": Option(dict.fromkeys(("model", "compare")), bool, readers=GHZ),
     "unswapped_b_minus": Option(
         {"model": None}, bool, readers=("hardy",),
@@ -267,10 +269,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if why:
             raise UsageError(f"{_flag(dest)} {why}")
     for dest, opt in OPTIONS.items():
-        if command in opt.commands and getattr(args, dest) is None:
+        if command not in opt.commands:
+            continue
+        if getattr(args, dest) is None:
             setattr(args, dest, opt.commands[command])
-        if opt.positive and getattr(args, dest, 1) < 1:
-            raise UsageError(f"{_flag(dest)} must be an integer >= 1, got {getattr(args, dest)!r}")
+        if opt.minimum is not None and getattr(args, dest) < opt.minimum:
+            raise UsageError(f"{_flag(dest)} must be an integer >= {opt.minimum}, "
+                             f"got {getattr(args, dest)!r}")
     return args
 
 
@@ -373,6 +378,20 @@ def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
     return mcsim.Experiment(kind, tuple(dirs), tuple(numbers)), rad
 
 
+# The Hardy theta domain of qmref.check_hardy_theta, as given in each --unit.
+HARDY_DOMAIN = {"deg": "[0, 90] deg", "rad": "[0, pi/2] rad"}
+
+
+def _hardy_domain(flag: str, thetas, unit: str, given) -> None:
+    """UsageError naming flag and unit unless every theta (in radians) lies in
+    the Hardy domain; given is the flag's value as the user wrote it."""
+    try:
+        for theta in thetas:
+            check_hardy_theta(theta)
+    except ValueError:
+        raise UsageError(f"{flag} must lie in {HARDY_DOMAIN[unit]}, got {given!r}") from None
+
+
 def _theta(args) -> float:
     """--theta of the hardy setting, in radians; without the flag, the theta
     key of --angles-file."""
@@ -380,7 +399,10 @@ def _theta(args) -> float:
         _load_angles(args, directions=False)  # sets args.theta from the file's theta key
     if args.theta is None:
         raise UsageError(f"--theta required for {_flag(SETTINGS[args.command])} hardy")
-    return _angle(args, "theta", _require_unit_flag(args))
+    unit = _require_unit_flag(args)
+    theta = _angle(args, "theta", unit)
+    _hardy_domain("--theta", [theta], unit, args.theta)
+    return theta
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -472,6 +494,7 @@ def cmd_solve_hardy(args) -> int:
         raise UsageError("--theta-grid start:stop:count is required")
     unit = _require_unit_flag(args)
     thetas = to_radians(_parse_grid(args.theta_grid), unit)
+    _hardy_domain("--theta-grid", [thetas.min(), thetas.max()], unit, args.theta_grid)
     scan = compare.hardy_scan(thetas, args.theta_grid, unit, args.seed, args.starts,
                               _tolerances(args))
     _emit(args, scan)

@@ -12,6 +12,11 @@ The comparison layout is a byte-stable contract: the JSON is what
 json_text({"meta": meta, "rows": [row dicts]}) writes, the CSV what
 csv.writer writes under CSV_COLUMNS, floats in repr form. Both stream from
 one template, CHUNK_ROWS rows per chunk.
+
+A FloatTable's CSV holds every value in repr form as well. It is written in
+this process, CHUNK_ROWS rows per chunk, by orjson's shortest-float encoder,
+with repr for the rows holding a value orjson spells otherwise; orjson is
+imported only when a float table is written.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import tempfile
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain
@@ -34,7 +37,6 @@ ComparisonRow = namedtuple("ComparisonRow", CSV_COLUMNS)
 # Rows formatted per chunk: one repr of a whole column would hold every
 # row's text at once and raise the peak memory.
 CHUNK_ROWS = 4096
-SPILL_READ_BYTES = 1 << 16  # larger reads of a spill file raise the peak RSS
 
 # One row of the indent=2, sort_keys JSON layout (keys in sorted order).
 _JSON_ROW = ('    {{\n      "label": {},\n      "model": {},\n      "oracle": {},\n'
@@ -147,92 +149,33 @@ class ComparisonReport:
 
 
 def _csv_rows(part: np.ndarray) -> str:
-    """The CSV lines of a 2-D float table, each value written as repr(float(x)).
+    """The CSV lines of a non-empty 2-D float table, each value written as
+    repr(float(x)).
 
-    The list repr is "[[x, y], [z, w]]" with every float in repr form; a
-    float's repr never holds "[" or ", ", so replacing the separators gives
-    exactly the per-value rows.
+    orjson writes the same shortest round-trip digits as repr, as
+    "[[x,y],[z,w]]", but spells values outside 1e-4 <= |x| < 1e16 in
+    another notation (0.00005 for 5e-05, 1e16 for 1e+16) and non-finite
+    ones as null. The rows holding such a value, apart from zeros, are
+    written with repr.
     """
-    text = repr(part.tolist())
-    return text[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
+    import orjson  # only a float table pays its import
 
-
-def _fork_rows(parts: list) -> tuple[int, object] | None:
-    """(pid, spill) of a child process that writes the CSV lines of parts into
-    spill, an unlinked temporary file, and exits 0; None when no child could
-    be started. The child leaves through os._exit, so it runs no atexit
-    handler and flushes none of the buffers it shares with the parent."""
-    spill = None
-    try:
-        spill = tempfile.TemporaryFile()
-        pid = os.fork()
-    except OSError:
-        if spill is not None:
-            spill.close()
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            for part in parts:
-                spill.write(_csv_rows(part).encode("ascii"))
-            spill.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, spill
+    text = orjson.dumps(part, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode("ascii")
+    lines = text.split("],[")
+    size = np.abs(part)
+    plain = (size == 0.0) | ((size >= 1e-4) & (size < 1e16))  # False for NaN
+    for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+        lines[i] = ",".join(map(repr, part[i].tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
     """CSV text of a 2-D float table, each value written as repr(float(x)),
     as one chunk of lines per CHUNK_ROWS rows, so that a writer never
-    holds the whole text.
-
-    The chunks are cut into contiguous slices, one per CPU this process may
-    run on. The parent formats the first slice and yields it as it goes; a
-    forked child formats each other slice into its own spill file, which the
-    parent copies out, in SPILL_READ_BYTES reads, once the child exited 0.
-    Every chunk is formatted by the same _csv_rows and the slices are joined
-    in order, so the text is the same for any number of slices. With one
-    chunk or one CPU, without os.fork, or once a fork fails, the parent
-    formats the remaining slices itself. A child that fails raises a
-    RuntimeError, so a truncated text never reads as complete; on any early
-    exit of this generator (an exception, or close() by the writer) every
-    child still running is killed and reaped.
-    """
-    parts = [table[lo:lo + CHUNK_ROWS] for lo in range(0, len(table), CHUNK_ROWS)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_slices = min(cpus, len(parts)) if hasattr(os, "fork") else 1
-    edges = [len(parts) * k // n_slices for k in range(n_slices + 1)]
-    slices = [parts[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    children, spills = {}, {}  # by slice index
-    try:
-        for k in range(1, n_slices):
-            child = _fork_rows(slices[k])
-            if child is None:
-                break
-            children[k], spills[k] = child
-        yield header + "\n"
-        for k, own in enumerate(slices):
-            if k not in children:
-                for part in own:
-                    yield _csv_rows(part)
-                continue
-            code = os.waitstatus_to_exitcode(os.waitpid(children[k], 0)[1])
-            pid = children.pop(k)
-            if code != 0:
-                raise RuntimeError(f"CSV formatter process {pid} exited with status {code}")
-            spills[k].seek(0)
-            while chunk := spills[k].read(SPILL_READ_BYTES):
-                yield chunk.decode("ascii")
-    finally:
-        if children:
-            import signal
-
-            for pid in children.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for spill in spills.values():
-            spill.close()
+    holds the whole text."""
+    yield header + "\n"
+    for lo in range(0, len(table), CHUNK_ROWS):
+        yield _csv_rows(table[lo:lo + CHUNK_ROWS])
 
 
 class FloatTable(NamedTuple):

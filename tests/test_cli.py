@@ -164,9 +164,26 @@ def test_solve_hardy_bad_grid(capsys):
     assert run_cli("solve-hardy", "--theta-grid", "1e308:-1e308:2", "--unit", "rad") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("qm", "--state", "hardy", "--theta", "100", "--unit", "deg"),
+     "--theta must lie in [0, 90] deg, got 100.0"),
+    (("qm", "--state", "hardy", "--theta", "-0.5", "--unit", "rad"),
+     "--theta must lie in [0, pi/2] rad, got -0.5"),
+    (("model", "--which", "hardy", "--theta", "90.5", "--unit", "deg"),
+     "--theta must lie in [0, 90] deg, got 90.5"),
     # The grid's thetas have the domain of qm --state hardy.
-    assert run_cli("solve-hardy", "--theta-grid", "100:200:2", "--unit", "deg") == 2
-    assert capsys.readouterr().err.startswith("error: theta must lie in [0, pi/2]")
+    (("solve-hardy", "--theta-grid", "100:200:2", "--unit", "deg"),
+     "--theta-grid must lie in [0, 90] deg, got '100:200:2'"),
+    (("solve-hardy", "--theta-grid", "0:2:3", "--unit", "rad"),
+     "--theta-grid must lie in [0, pi/2] rad, got '0:2:3'"),
+])
+def test_a_hardy_theta_off_its_domain_is_named_in_its_unit(argv, message, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_scan_chsh_csv(tmp_path):
@@ -255,11 +272,6 @@ def test_scan_chsh_csv_equals_the_per_row_formatter(count, tmp_path):
     assert out.read_text() == _per_row_sweep_csv(count, 3)
 
 
-def _cpus(monkeypatch, count):
-    """Make the CSV formatter see `count` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def _record_forks(monkeypatch) -> list:
     """The pids of the children os.fork starts from now on, in the parent."""
     pids, fork = [], os.fork
@@ -274,24 +286,20 @@ def _record_forks(monkeypatch) -> list:
     return pids
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("count", (4, 4095, 4097, 8193, 12289, 100_000))
 def test_scan_chsh_csv_is_the_same_serial_and_split(count, tmp_path, monkeypatch):
+    # The whole table formatted as one chunk, and split into CHUNK_ROWS-row
+    # chunks, give the same bytes, whatever CPU count the process sees; the
+    # CSV is written in this process, so no child is forked.
     expected = _per_row_sweep_csv(count, 3)
     pids = _record_forks(monkeypatch)
-    for cpus in (1, 3):
-        _cpus(monkeypatch, cpus)
-        pids.clear()
-        out = tmp_path / f"sweep{cpus}.csv"
+    for chunk_rows, cpus in ((count, 1), (CHUNK_ROWS, 3)):
+        monkeypatch.setattr(spherelab.report, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out = tmp_path / f"sweep{chunk_rows}.csv"
         assert run_cli("scan-chsh", "--count", str(count), "--seed", "3", "--out", str(out)) == 0
         assert out.read_text() == expected
-        # one slice per CPU, and never more slices than CHUNK_ROWS parts
-        assert len(pids) == min(cpus, -(-count // CHUNK_ROWS)) - 1
-        _no_child_left()
+    assert pids == []
 
 
 class _DiskFullAfter:
@@ -313,16 +321,12 @@ class _DiskFullAfter:
             self.fh.write(chunk)
 
 
-def test_a_failing_csv_writer_kills_and_reaps_every_formatter(tmp_path, monkeypatch, capsys):
-    _cpus(monkeypatch, 3)
-    pids = _record_forks(monkeypatch)
+def test_a_failing_csv_writer_exits_two_without_an_artifact(tmp_path, monkeypatch, capsys):
     fdopen = os.fdopen
     monkeypatch.setattr(os, "fdopen", lambda fd, mode: _DiskFullAfter(fdopen(fd, mode), 3))
     out = tmp_path / "sweep.csv"
     assert run_cli("scan-chsh", "--count", "100000", "--out", str(out)) == 2
     assert "No space left on device" in capsys.readouterr().err
-    assert len(pids) == 2
-    _no_child_left()
     assert list(tmp_path.iterdir()) == []  # no artifact and no .tmp file
 
 
@@ -341,26 +345,6 @@ def test_a_failing_write_closes_the_stream_at_once(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cli._atomic_write(tmp_path / "r.csv", text)
     assert closed == [True]
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_a_failing_formatter_process_exits_three_without_an_artifact(tmp_path, monkeypatch,
-                                                                     capsys):
-    _cpus(monkeypatch, 2)
-    parent, rows = os.getpid(), spherelab.report._csv_rows
-
-    def failing_in_a_child(part):
-        if os.getpid() != parent:
-            raise RuntimeError("formatter fault")
-        return rows(part)
-
-    monkeypatch.setattr(spherelab.report, "_csv_rows", failing_in_a_child)
-    out = tmp_path / "sweep.csv"
-    assert run_cli("scan-chsh", "--count", "8193", "--out", str(out)) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: RuntimeError: CSV formatter process ")
-    assert err.endswith(" exited with status 1\n") and err.count("\n") == 1
-    _no_child_left()
     assert list(tmp_path.iterdir()) == []
 
 
@@ -667,12 +651,15 @@ def test_identities_small_sample_count(tmp_path):
     ("solve-hardy", "--theta-grid", "0:90:3", "--unit", "deg", "--starts", "0"),
     ("solve-hardy", "--theta-grid", "0:90:3", "--unit", "deg", "--starts", "-1"),
     ("model", "--which", "hardy", "--theta", "30", "--unit", "deg", "--starts", "0"),
+    ("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
+     "--trials", "0"),
+    ("scan-chsh", "--count", "3"),  # a sweep holds the 4 optimal quadruples
 ])
 def test_count_options_below_one_exit_two(argv, tmp_path, capsys):
     out = tmp_path / "never.json"
     assert run_cli(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --") and err.count("\n") == 1
+    assert err.startswith(f"error: {argv[-2]} must be an integer >= ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -983,7 +970,7 @@ def test_every_default_passes_its_options_own_checks():
         for command, default in opt.commands.items():
             if default is not None:
                 cli._check_config_value(command, dest, default)
-                assert not opt.positive or default >= 1, (command, dest)
+                assert opt.minimum is None or default >= opt.minimum, (command, dest)
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -1017,6 +1004,15 @@ def test_importing_the_cli_does_not_import_scipy():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, spherelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_does_not_import_orjson():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spherelab.cli; print(sorted(m for m in sys.modules if m.startswith('orjson')))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"

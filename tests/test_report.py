@@ -1,17 +1,20 @@
 """The column-backed comparison report and its template writer: the JSON
 and CSV bytes against the json.dumps / per-row csv.writer route they
-replace, for any labels, float values and meta."""
+replace, for any labels, float values and meta. The float table's CSV
+against repr(float(x)) of each value."""
 
 import csv
 import io
 import json
 import math
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherelab import report as report_module
-from spherelab.report import CSV_COLUMNS, ComparisonReport, ComparisonRow
+from spherelab.report import CSV_COLUMNS, ComparisonReport, ComparisonRow, FloatTable
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, math.inf, -math.inf, math.nan)
 EDGE_LABELS = ('"', "\\", ",", "\n", "\r", "a,b", 'say "hi"', "\x00\x1f\x7f", "é",
@@ -84,3 +87,55 @@ def test_rows_view_and_verdicts_derive_from_the_columns():
     assert [r.label for r in report.mismatches()] == ["b", "d"]
     csv_text = "".join(report.chunks("csv"))
     assert "".join(ComparisonReport(report.rows).chunks("csv")) == csv_text
+
+
+def float_table_lines(*columns) -> list:
+    """The lines under the header of the CSV of a float table of columns."""
+    text = "".join(FloatTable("h", columns).chunks("csv"))
+    assert text.startswith("h\n") and text.endswith("\n")
+    return text[2:-1].split("\n")
+
+
+def repr_lines(table: np.ndarray) -> list:
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
+# Around the edges of the range where orjson spells a float as repr does
+# (1e-4 <= |x| < 1e16), the extremes, and the values it spells otherwise.
+EDGE_TABLE_FLOATS = (1e-4, 9.999999999999999e-05, 1.0000000000000002e-04, 1e16,
+                     9999999999999998.0, 1.0000000000000002e16, 5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 0.0, 1.0, 0.1, 1e15, 123456.789)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(st.floats(), min_size=1, max_size=6))
+@example(row=[0.0])
+@example(row=[-0.0])
+@example(row=[5e-324])
+@example(row=[-2.225073858507201e-308])
+@example(row=[math.inf])
+@example(row=[-math.inf])
+@example(row=[math.nan])
+@example(row=[0.5, 1e-5, -0.0, 3.0])
+def test_a_float_table_row_is_the_repr_of_each_value(row):
+    columns = tuple(np.array([x]) for x in row)
+    assert float_table_lines(*columns) == [",".join(map(repr, row))]
+
+
+@pytest.mark.parametrize("x", EDGE_TABLE_FLOATS)
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_float_table_edge_values(x, sign):
+    assert float_table_lines(np.array([sign * x])) == [repr(sign * x)]
+
+
+def test_float_table_of_random_bit_patterns():
+    """10^5 values, one per row: half of any bits, half of any sign and
+    mantissa with an exponent in orjson's repr range; over several chunks."""
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    exponent = rng.integers(1023 - 14, 1023 + 54, size=50_000, dtype=np.uint64)
+    bits[50_000:] = (bits[50_000:] & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+    column = bits.view(np.float64)
+    assert float_table_lines(column) == repr_lines(column[:, None])
+    table = column.reshape(-1, 5)  # rows that mix both spellings
+    assert float_table_lines(*table.T) == repr_lines(table)
