@@ -10,9 +10,9 @@ model and mc are parsed in one place (_setting), into a
 spherelab.mcsim.Experiment whose kind in mcsim.EXPERIMENTS names the
 directions and numbers it takes. One table, OPTIONS, declares every flag
 once: the commands that take it and its default on each, its type (which
-also gives its --config type), its choices, its lower bound, and
-the settings that read it and its --angles-file key. build_parser and
-_merge_config take each of these facts from it alone.
+also gives its --config type), its choices, its bounds, and the settings
+that read it and its --angles-file key. build_parser and _merge_config take
+each of these facts from it alone.
 
 Conventions:
   * every angle-bearing flag is interpreted per --unit {deg, rad}, which is
@@ -130,14 +130,16 @@ class Option(NamedTuple):
     filled after --config merging (precedence: flag > config file > default).
     type: what the flag parses to (bool a switch, list a repeatable flag),
     the key of its --config type in CONFIG_TYPES. choices and help may be
-    given per command, as {command: value}. minimum: its lower bound, if any.
-    readers: the settings of qm, model and mc that read the flag and the
-    --angles-file key of its name (None: every setting)."""
+    given per command, as {command: value}. minimum, maximum: its bounds, if
+    any (a NaN lies outside them). readers: the settings of qm, model and mc
+    that read the flag and the --angles-file key of its name (None: every
+    setting)."""
 
     commands: dict
     type: type | tuple = str
     choices: tuple | dict | None = None
-    minimum: int | None = None
+    minimum: float | None = None
+    maximum: float | None = None
     readers: tuple | None = None
     help: str | dict | None = None
     metavar: str | None = None
@@ -180,8 +182,9 @@ OPTIONS = {
     "theta": Option(dict.fromkeys(("qm", "model")), float, readers=("hardy",),
                     help="hardy parameter (in --unit)"),
     "mode": Option({"model": "pinned_z"}, choices=lrmodel.GHZ_MODES, readers=GHZ),
-    "trials": Option({"mc": 1_000_000}, int, minimum=1),
-    "weight_plus": Option({"mc": 0.5}, float),
+    # Trial indices are uint64 counters: past 2**64 the draws would repeat.
+    "trials": Option({"mc": 1_000_000}, int, minimum=1, maximum=2**64),
+    "weight_plus": Option({"mc": 0.5}, float, minimum=0.0, maximum=1.0),
     "workers": Option({"mc": 1}, int, minimum=1),
     # identities' default, all, runs every table; the other commands take one.
     "table": Option({"identities": "all", "model": None, "mc": None, "compare": None},
@@ -273,9 +276,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             continue
         if getattr(args, dest) is None:
             setattr(args, dest, opt.commands[command])
-        if opt.minimum is not None and getattr(args, dest) < opt.minimum:
-            raise UsageError(f"{_flag(dest)} must be an integer >= {opt.minimum}, "
-                             f"got {getattr(args, dest)!r}")
+        value, kind = getattr(args, dest), "an integer" if opt.type is int else "a number"
+        if opt.minimum is not None and not value >= opt.minimum:
+            raise UsageError(f"{_flag(dest)} must be {kind} >= {opt.minimum}, got {value!r}")
+        if opt.maximum is not None and not value <= opt.maximum:
+            raise UsageError(f"{_flag(dest)} must be {kind} <= {opt.maximum}, got {value!r}")
     return args
 
 
@@ -510,8 +515,11 @@ def cmd_solve_hardy(args) -> int:
 def cmd_scan_chsh(args) -> int:
     if args.format == "json":
         raise UsageError("scan-chsh writes CSV only, got --format json")
-    sweep = lrmodel.scan_chsh(args.count, args.seed)
-    _emit(args, compare.chsh_sweep_table(sweep))
+    sweep = {}
+    blocks = lrmodel.chsh_sweep(args.count, args.seed, sweep)
+    _emit(args, compare.chsh_sweep_table(blocks))
+    for _ in blocks:  # the sweep not written (no --out) still runs, once, for its summary
+        pass
     print(f"max |value| = {sweep['max_abs_value']!r} at {[float(t) for t in sweep['argmax']]}")
     print(f"bound violations: fraction={sweep['bound_violation_fraction']:.4f} "
           f"max={sweep['max_bound_violation']:.6f}")

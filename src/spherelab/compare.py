@@ -47,7 +47,8 @@ def compare_singlet(samples: int = 1000, seed: int = 7, tolerances=None) -> Comp
 def chsh_sweep_rows(report: ComparisonReport, count: int, seed: int, tolerances) -> dict:
     """Add the two asserted rows of the seeded coplanar sweep of the model's
     CHSH string to report: the swept supremum against 2 sqrt 2, and the
-    displayed bound at its saturating quadruple. Returns the sweep."""
+    displayed bound at its saturating quadruple. Returns the sweep's
+    statistics (lrmodel.scan_chsh)."""
     sweep = lrmodel.scan_chsh(count, seed)
     bound = lrmodel.chsh_model_bound(*coplanar_direction(lrmodel.BOUND_SATURATING_QUADRUPLE))
     report.add(["chsh.sweep_max_abs", "chsh.bound_at_saturating_quadruple"],
@@ -258,8 +259,8 @@ def hardy_scan(thetas, theta_grid: str, unit: str, seed: int, starts: int,
     return HardyScan(lrmodel.scan_hardy(thetas, starts=starts, seed=seed, tol=tol), meta)
 
 
-def chsh_sweep_table(sweep: dict) -> FloatTable:
-    """The scan-chsh artifact of an lrmodel.scan_chsh sweep: per quadruple its
-    four coplanar angles, the model's CHSH string and its displayed bound."""
-    return FloatTable("t_a,t_a_prime,t_b,t_b_prime,value,bound",
-                      (sweep["angles"], sweep["values"], sweep["bounds"]))
+def chsh_sweep_table(blocks) -> FloatTable:
+    """The scan-chsh artifact of the blocks of an lrmodel.chsh_sweep: per
+    quadruple its four coplanar angles, the model's CHSH string and its
+    displayed bound."""
+    return FloatTable("t_a,t_a_prime,t_b,t_b_prime,value,bound", blocks)

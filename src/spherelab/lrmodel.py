@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hardy_kernel, qmref
+from . import hardy_kernel, qmref, report
 from .geometry import coplanar_direction, dot, require_unit, require_units
 from .report import ComparisonReport
 from .sphere7 import CrossTable, cross7, embed_ghz3, embed_ghz4, get_table, z_deviation
@@ -113,34 +113,50 @@ OPTIMAL_CHSH_QUADRUPLES = (
 BOUND_SATURATING_QUADRUPLE = (0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
 
 
-def scan_chsh(count: int, seed: int = 0) -> dict:
-    """Sweep coplanar quadruples: the canonical optimal quadruples plus
-    seeded random ones, evaluating the model string and the displayed bound.
-
-    Returns a dict with the sweep arrays, the maximum |value|, and bound
-    violation statistics.
+def chsh_sweep(count: int, seed: int, summary: dict):
+    """The seeded coplanar sweep of the model string and its displayed bound,
+    as (rows, 6) blocks [t_a, t_a', t_b, t_b', value, bound] of
+    report.CHUNK_ROWS rows: the optimal quadruples, then draws from one
+    default_rng(seed) stream, the bits of one uniform(0, 2 pi, (count - 4, 4))
+    call. Each block is folded into the statistics, which fill summary once
+    the last block is taken (see scan_chsh); nothing of length count is held.
     """
-    if count < len(OPTIMAL_CHSH_QUADRUPLES):
-        raise ValueError(f"count must be >= {len(OPTIMAL_CHSH_QUADRUPLES)}")
+    fixed = np.array(OPTIMAL_CHSH_QUADRUPLES)
+    if count < len(fixed):
+        raise ValueError(f"count must be >= {len(fixed)}")
     rng = np.random.default_rng(seed)
-    t = np.vstack(
-        [np.array(OPTIMAL_CHSH_QUADRUPLES), rng.uniform(0.0, 2 * np.pi, (count - len(OPTIMAL_CHSH_QUADRUPLES), 4))]
-    )
-    ta, tap, tb, tbp = t.T
-    values = -np.cos(tb - ta) - np.cos(tbp - ta) - np.cos(tb - tap) + np.cos(tbp - tap)
-    x = np.sin(tap - ta) * np.sin(tb - tbp)
-    bounds = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - x))
-    imax = int(np.argmax(np.abs(values)))
-    excess = np.abs(values) - bounds
-    return {
-        "angles": t,
-        "values": values,
-        "bounds": bounds,
-        "max_abs_value": float(np.abs(values[imax])),
-        "argmax": t[imax],
-        "bound_violation_fraction": float(np.mean(excess > 1e-9)),
-        "max_bound_violation": float(np.max(excess)),
-    }
+    best, violations, worst, low, high = -1.0, 0, -np.inf, np.inf, -np.inf
+    for lo in range(0, count, report.CHUNK_ROWS):
+        t = np.empty((min(report.CHUNK_ROWS, count - lo), 4))
+        head = len(fixed[lo:lo + len(t)])
+        t[:head] = fixed[lo:lo + head]
+        rng.random(out=t[head:])
+        t[head:] *= 2 * np.pi  # uniform(0, 2 pi) is 0.0 + 2 pi u: the same bits
+        ta, tap, tb, tbp = t.T
+        values = -np.cos(tb - ta) - np.cos(tbp - ta) - np.cos(tb - tap) + np.cos(tbp - tap)
+        bounds = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - np.sin(tap - ta) * np.sin(tb - tbp)))
+        size = np.abs(values)
+        excess = size - bounds
+        i = int(np.argmax(size))
+        if size[i] > best:  # the first row of the largest |value| wins, as in np.argmax
+            best, at = float(size[i]), t[i].copy()
+        violations += int(np.count_nonzero(excess > 1e-9))
+        worst = max(worst, float(excess.max()))
+        low, high = min(low, float(bounds.min())), max(high, float(bounds.max()))
+        yield np.column_stack((t, values, bounds))
+    summary.update(max_abs_value=best, argmax=at, bound_violation_fraction=violations / count,
+                   max_bound_violation=worst, bound_min=low, bound_max=high)
+
+
+def scan_chsh(count: int, seed: int = 0) -> dict:
+    """The statistics of chsh_sweep(count, seed), folded block by block: the
+    maximum |value| and the first quadruple (argmax) that attains it, the
+    fraction of rows whose |value| exceeds the bound by more than 1e-9 and
+    the largest excess, and the bound's minimum and maximum."""
+    summary = {}
+    for _ in chsh_sweep(count, seed, summary):
+        pass
+    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ json_text({"meta": meta, "rows": [row dicts]}) writes, the CSV what
 csv.writer writes under CSV_COLUMNS, floats in repr form. Both stream from
 one template, CHUNK_ROWS rows per chunk.
 
-A FloatTable's CSV holds every value in repr form as well. It is written in
-this process, CHUNK_ROWS rows per chunk, by orjson's shortest-float encoder,
-with repr for the rows holding a value orjson spells otherwise; orjson is
-imported only when a float table is written.
+A FloatTable's CSV holds every value in repr form as well. Its rows come
+as an iterable of 2-D blocks (lrmodel.chsh_sweep computes them CHUNK_ROWS
+rows at a time), each written as it comes, so no table is held whole. The
+text of a block is orjson's shortest-float encoding, with repr for the rows
+holding a value orjson spells otherwise; orjson is imported only when a
+float table is written.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import csv
 import io
 import json
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -34,8 +36,8 @@ import numpy as np
 
 CSV_COLUMNS = ("label", "model", "oracle", "residual", "tolerance", "verdict")
 ComparisonRow = namedtuple("ComparisonRow", CSV_COLUMNS)
-# Rows formatted per chunk: one repr of a whole column would hold every
-# row's text at once and raise the peak memory.
+# Rows formatted per chunk, and rows per block of the CHSH sweep: one repr of
+# a whole column would hold every row's text at once and raise the peak memory.
 CHUNK_ROWS = 4096
 
 # One row of the indent=2, sort_keys JSON layout (keys in sorted order).
@@ -169,24 +171,15 @@ def _csv_rows(part: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _float_csv(header: str, table: np.ndarray) -> Iterator[str]:
-    """CSV text of a 2-D float table, each value written as repr(float(x)),
-    as one chunk of lines per CHUNK_ROWS rows, so that a writer never
-    holds the whole text."""
-    yield header + "\n"
-    for lo in range(0, len(table), CHUNK_ROWS):
-        yield _csv_rows(table[lo:lo + CHUNK_ROWS])
-
-
 class FloatTable(NamedTuple):
-    """Float columns under a CSV header line, written as CSV only: one line
-    per row, each value as repr(float(x)). The columns are stacked into one
-    2-D table when the text is asked for."""
+    """Non-empty 2-D float blocks under a CSV header line, written as CSV
+    only, each block as it comes: one line per row, each value as
+    repr(float(x))."""
 
     header: str
-    columns: tuple
+    blocks: Iterable
 
     def chunks(self, fmt: str) -> Iterator[str]:
         if fmt != "csv":
             raise ValueError(f"a float table is written as CSV only, got {fmt!r}")
-        return _float_csv(self.header, np.column_stack(self.columns))
+        return chain([self.header + "\n"], map(_csv_rows, self.blocks))

@@ -14,6 +14,7 @@ import platform
 import stat
 import subprocess
 import sys
+import time
 from collections.abc import Iterator
 
 import numpy as np
@@ -221,24 +222,36 @@ def test_compare_hardy_certifies_theta_zero_at_seed_41065(tmp_path):
     assert not any(label.startswith("hardy_model.unsolved[0.000000]") for label in labels)
 
 
+def _traced_peak(*argv) -> int:
+    """The tracemalloc peak, in bytes, of one CLI call that exits 0."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scan_chsh_writes_its_csv_without_holding_the_text(tmp_path):
     # The CSV goes to the file chunk by chunk: writing it must cost less
     # memory than the text itself would take.
-    import tracemalloc
-
     out = tmp_path / "sweep.csv"
     assert run_cli("scan-chsh", "--count", "100", "--out", str(out)) == 0
-
-    def peak(*argv):
-        tracemalloc.start()
-        try:
-            assert run_cli("scan-chsh", "--count", "40000", *argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    writing = peak("--out", str(out)) - peak()
+    writing = (_traced_peak("scan-chsh", "--count", "40000", "--out", str(out))
+               - _traced_peak("scan-chsh", "--count", "40000"))
     assert writing < out.stat().st_size
+
+
+def test_scan_chsh_memory_does_not_grow_with_the_count(tmp_path):
+    # The sweep is computed, folded and written block by block: ten times
+    # the rows must not raise the peak by as much as 1 MB.
+    out = tmp_path / "sweep.csv"
+    assert run_cli("scan-chsh", "--count", "100", "--out", str(out)) == 0
+    growth = (_traced_peak("scan-chsh", "--count", "400000", "--out", str(out))
+              - _traced_peak("scan-chsh", "--count", "40000", "--out", str(out)))
+    assert growth < 1_000_000
 
 
 def test_mc_command(tmp_path):
@@ -256,50 +269,55 @@ def test_mc_command(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def _per_row_sweep_csv(count, seed):
-    """The scan-chsh CSV as one repr(float(x)) per value, row by row."""
-    sweep = lrmodel.scan_chsh(count, seed)
+def _whole_sweep(count, seed):
+    """The scan-chsh CSV and its two summary lines, from the sweep as one
+    array: the four optimal quadruples, then one uniform(0, 2 pi,
+    (count - 4, 4)) draw; the CSV as repr(float(x)) per value, row by row,
+    and the summary from statistics of the whole columns. Also returns
+    those statistics as lrmodel.scan_chsh names them."""
+    rng = np.random.default_rng(seed)
+    t = np.vstack([np.array(lrmodel.OPTIMAL_CHSH_QUADRUPLES),
+                   rng.uniform(0.0, 2 * np.pi, (count - 4, 4))])
+    ta, tap, tb, tbp = t.T
+    values = -np.cos(tb - ta) - np.cos(tbp - ta) - np.cos(tb - tap) + np.cos(tbp - tap)
+    bounds = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - np.sin(tap - ta) * np.sin(tb - tbp)))
     lines = ["t_a,t_a_prime,t_b,t_b_prime,value,bound"]
-    for t, v, bd in zip(sweep["angles"], sweep["values"], sweep["bounds"]):
-        lines.append(",".join([repr(float(x)) for x in t] + [repr(float(v)), repr(float(bd))]))
-    return "\n".join(lines) + "\n"
+    for row in np.column_stack((t, values, bounds)):
+        lines.append(",".join(repr(float(x)) for x in row))
+    imax = int(np.argmax(np.abs(values)))
+    excess = np.abs(values) - bounds
+    stats = {"max_abs_value": float(np.abs(values[imax])), "argmax": t[imax].tolist(),
+             "bound_violation_fraction": float(np.mean(excess > 1e-9)),
+             "max_bound_violation": float(np.max(excess)),
+             "bound_min": float(np.min(bounds)), "bound_max": float(np.max(bounds))}
+    summary = [f"max |value| = {stats['max_abs_value']!r} at {stats['argmax']}",
+               f"bound violations: fraction={stats['bound_violation_fraction']:.4f} "
+               f"max={stats['max_bound_violation']:.6f}"]
+    return "\n".join(lines) + "\n", summary, stats
 
 
-@pytest.mark.parametrize("count", (4, 4095, 4096, 4097, 10_000))
-def test_scan_chsh_csv_equals_the_per_row_formatter(count, tmp_path):
+@pytest.mark.parametrize("count", (4, 5, 4095, 4096, 4097, 8193, 10_000, 12289))
+def test_scan_chsh_csv_equals_the_per_row_formatter(count, tmp_path, capsys):
+    # The block edges fall inside, at and just past CHUNK_ROWS-row blocks.
+    text, summary, stats = _whole_sweep(count, 3)
     out = tmp_path / "sweep.csv"
     assert run_cli("scan-chsh", "--count", str(count), "--seed", "3", "--out", str(out)) == 0
-    assert out.read_text() == _per_row_sweep_csv(count, 3)
-
-
-def _record_forks(monkeypatch) -> list:
-    """The pids of the children os.fork starts from now on, in the parent."""
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
+    assert out.read_text() == text
+    assert capsys.readouterr().out.splitlines()[1:] == summary
+    sweep = lrmodel.scan_chsh(count, 3)
+    assert {**sweep, "argmax": sweep["argmax"].tolist()} == stats
 
 
 @pytest.mark.parametrize("count", (4, 4095, 4097, 8193, 12289, 100_000))
 def test_scan_chsh_csv_is_the_same_serial_and_split(count, tmp_path, monkeypatch):
-    # The whole table formatted as one chunk, and split into CHUNK_ROWS-row
-    # chunks, give the same bytes, whatever CPU count the process sees; the
-    # CSV is written in this process, so no child is forked.
-    expected = _per_row_sweep_csv(count, 3)
-    pids = _record_forks(monkeypatch)
-    for chunk_rows, cpus in ((count, 1), (CHUNK_ROWS, 3)):
+    # The sweep computed as one block and as CHUNK_ROWS-row blocks gives the
+    # same bytes.
+    expected = _whole_sweep(count, 3)[0]
+    for chunk_rows in (count, CHUNK_ROWS):
         monkeypatch.setattr(spherelab.report, "CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
         out = tmp_path / f"sweep{chunk_rows}.csv"
         assert run_cli("scan-chsh", "--count", str(count), "--seed", "3", "--out", str(out)) == 0
         assert out.read_text() == expected
-    assert pids == []
 
 
 class _DiskFullAfter:
@@ -327,6 +345,19 @@ def test_a_failing_csv_writer_exits_two_without_an_artifact(tmp_path, monkeypatc
     out = tmp_path / "sweep.csv"
     assert run_cli("scan-chsh", "--count", "100000", "--out", str(out)) == 2
     assert "No space left on device" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no artifact and no .tmp file
+
+
+def test_a_huge_count_streams_into_a_full_disk_and_exits_two(tmp_path, monkeypatch, capsys):
+    # Nothing of the sweep's length is allocated up front, so a count of
+    # 10**13 rows writes its first blocks and stops at the full disk.
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _DiskFullAfter(fdopen(fd, mode), 3))
+    out = tmp_path / "sweep.csv"
+    start = time.perf_counter()
+    assert run_cli("scan-chsh", "--count", str(10**13), "--out", str(out)) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert list(tmp_path.iterdir()) == []  # no artifact and no .tmp file
 
 
@@ -508,8 +539,26 @@ def test_mc_trials_above_the_counter_range_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(mcsim, "run_ensemble", never)
     assert run_cli("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
                    "--trials", str(2**64 + 1)) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "2**64" in err
+    assert capsys.readouterr().err == (f"error: --trials must be an integer <= {2**64}, "
+                                       f"got {2**64 + 1}\n")
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--weight-plus", "2"), "--weight-plus must be a number <= 1.0, got 2.0"),
+    (("--weight-plus", "nan"), "--weight-plus must be a number >= 0.0, got nan"),
+    (("--weight-plus", "-0.5"), "--weight-plus must be a number >= 0.0, got -0.5"),
+    ({"weight_plus": 2}, "--weight-plus must be a number <= 1.0, got 2"),
+], ids=["above", "nan", "below", "config"])
+def test_mc_weight_plus_off_zero_to_one_names_the_flag(extra, message, tmp_path, capsys):
+    if isinstance(extra, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(extra))
+        extra = ("--config", str(config))
+    out = tmp_path / "never.json"
+    assert run_cli("mc", "--experiment", "singlet", "--angles", "0,0,120,0", "--unit", "deg",
+                   "--trials", "10", *extra, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_mc_ghz3_requires_alpha_delta():
@@ -971,6 +1020,7 @@ def test_every_default_passes_its_options_own_checks():
             if default is not None:
                 cli._check_config_value(command, dest, default)
                 assert opt.minimum is None or default >= opt.minimum, (command, dest)
+                assert opt.maximum is None or default <= opt.maximum, (command, dest)
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

@@ -90,8 +90,12 @@ def test_rows_view_and_verdicts_derive_from_the_columns():
 
 
 def float_table_lines(*columns) -> list:
-    """The lines under the header of the CSV of a float table of columns."""
-    text = "".join(FloatTable("h", columns).chunks("csv"))
+    """The lines under the header of the CSV of a float table of columns,
+    given as blocks of CHUNK_ROWS rows."""
+    table = np.column_stack(columns)
+    chunk = report_module.CHUNK_ROWS
+    text = "".join(FloatTable("h", [table[lo:lo + chunk] for lo in range(0, len(table), chunk)])
+                   .chunks("csv"))
     assert text.startswith("h\n") and text.endswith("\n")
     return text[2:-1].split("\n")
 
