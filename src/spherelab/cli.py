@@ -17,12 +17,16 @@ each of these facts from it alone.
 Conventions:
   * every angle-bearing flag is interpreted per --unit {deg, rad}, which is
     mandatory whenever angles are supplied, and must be finite;
-  * --config FILE supplies defaults from a JSON object, explicit flags win;
+  * --config FILE and then --angles-file FILE fill the flags not given from
+    JSON objects, read in one place (_merge_config) with one type check and
+    one flag rule, so a flag wins over --config and --config over the angles
+    file; an angles file holds only the keys angles, alpha, delta and theta;
   * --out is resolved against $SPHERELAB_OUTDIR when relative;
   * identical flags + seed produce byte-identical artifacts (no timestamps);
   * exit 0 success, 1 a gated comparison exceeded tolerance (the report is
-    still written), 2 usage/configuration errors, 3 an internal error (one
-    line, no traceback).
+    still written), 2 bad input, a file that cannot be read or written, or
+    a size too large to hold in memory, 3 any other error, a fault of the
+    program (each in one line, no traceback).
 
 One gating rule: a row gates the exit status iff the artifact gives it a
 finite tolerance and the verdict mismatch; the other rows are measurements.
@@ -145,8 +149,8 @@ class Option(NamedTuple):
     metavar: str | None = None
 
 
-# JSON types a --config value may have, by its option's type: an int option
-# takes no boolean, and --angles also takes the numbers themselves.
+# JSON types a --config or --angles-file value may have, by its option's type:
+# an int option takes no boolean, and --angles also takes the numbers themselves.
 CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                 str: ((str,), "a string"), bool: ((bool,), "true or false"),
                 list: ((list,), "a list"), (str, list): ((str, list), "a string or a list")}
@@ -161,7 +165,7 @@ OPTIONS = {
     "format": Option({**dict.fromkeys(COMMANDS, "json"), "scan-chsh": "csv"},
                      choices=("json", "csv")),
     "seed": Option({"identities": 0, "model": 20240901, "solve-hardy": 20240901, "scan-chsh": 0,
-                    "mc": 0, "compare": 7}, int),
+                    "mc": 0, "compare": 7}, int, minimum=0),
     "tolerance": Option(dict.fromkeys(("qm", "model", "solve-hardy", "compare")), list,
                         metavar="CLASS=VALUE", help=f"override a tolerance class (repeatable); "
                                                     f"classes: {', '.join(DEFAULT_TOLERANCES)}"),
@@ -226,49 +230,67 @@ def _not_read(args, dest: str) -> str | None:
     return f"is read only for {_flag(flag)} {' or '.join(fits)}, not {setting}"
 
 
-def _check_config_value(command: str, dest: str, value):
-    """UsageError unless a --config value has the JSON type its option takes
-    and is one of the option's choices on command."""
+# The keys an --angles-file may hold; it is read beneath --config.
+ANGLES_FILE_KEYS = ("angles", "alpha", "delta", "theta")
+
+
+def _check_config_value(command: str, dest: str, value) -> str | None:
+    """Why a value from a JSON file does not fit the option dest on command:
+    it does not have the JSON type the option takes, or is not one of the
+    option's choices there; None when it fits."""
     opt = OPTIONS[dest]
     allowed, want = CONFIG_TYPES[opt.type]
     if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-        raise UsageError(f"{_flag(dest)} must be {want}, got {value!r} (from --config)")
+        return f"must be {want}"
     choices = _for(opt.choices, command)
     if choices is not None and value not in choices:
-        raise UsageError(f"{_flag(dest)} must be one of "
-                         f"{', '.join(choices)}, got {value!r} (from --config)")
+        return f"must be one of {', '.join(choices)}"
+    return None
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Apply JSON config values beneath explicit flags, then fill defaults.
-    Every key must name an option of the subcommand, and its value must have
-    the type that option takes. A table must exist, and a qm, model or mc
-    flag, given or from a key, must be one its setting reads."""
+    """Fill the flags not given from the JSON objects of --config and then
+    --angles-file, so a flag wins over --config and --config over the angles
+    file; then fill defaults. Every key must name an option of the subcommand
+    (an angles file's, one of ANGLES_FILE_KEYS), its value must have the type
+    that option takes, and --angles is given once. A table must exist, and a
+    qm, model or mc flag, given or from a file, must be one its setting reads."""
     command = args.command
-    if args.config:
+    for name, dest in (("config", "config"), ("angles", "angles_file")):
+        path = getattr(args, dest, None)  # read now: --config may give --angles-file
+        if not path:
+            continue
         try:
-            doc = Path(args.config).read_text()
+            data = json.loads(Path(path).read_text())
         except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}")
-        try:
-            data = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}")
+            raise UsageError(f"cannot read {name} file: {exc}")
+        except ValueError as exc:  # a JSONDecodeError, or text that is not UTF-8
+            raise UsageError(f"{name} file is not valid JSON: {exc}")
         if not isinstance(data, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise UsageError(f"{name} file must hold a JSON object")
         for key, value in data.items():
             attr = key.replace("-", "_")
+            if name == "angles" and attr not in ANGLES_FILE_KEYS:
+                raise UsageError(f"angles key {key!r} is not one of {', '.join(ANGLES_FILE_KEYS)}")
             if attr not in OPTIONS or command not in OPTIONS[attr].commands:
-                raise UsageError(f"config key {key!r} is not an option of {command}")
-            _check_config_value(command, attr, value)
+                raise UsageError(f"{name} key {key!r} is not an option of {command}")
+            why = _check_config_value(command, attr, value)
+            if why:
+                raise UsageError(f"{_flag(attr)} {why}, got {value!r} (from {_flag(dest)})")
+            if name == "angles" and attr == "angles" and args.angles is not None:
+                raise UsageError("give either --angles or --angles-file, not both")
             current = getattr(args, attr)
             if current is None or (current is False and isinstance(value, bool)):
                 setattr(args, attr, value)
     table = getattr(args, "table", None)
     if table not in (None, OPTIONS["table"].commands.get(command)):  # identities' all
-        get_table(table)  # an unknown table is named before a table off ghz3/ghz4
+        try:
+            get_table(table)  # an unknown table is named before a table off ghz3/ghz4
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     for dest in OPTIONS:  # before the defaults fill --starts and --mode
-        why = getattr(args, dest, None) not in (None, False) and _not_read(args, dest)
+        value = getattr(args, dest, None)
+        why = value is not None and value is not False and _not_read(args, dest)
         if why:
             raise UsageError(f"{_flag(dest)} {why}")
     for dest, opt in OPTIONS.items():
@@ -291,61 +313,15 @@ def _parse_float_list(text: str) -> list[float]:
         raise UsageError(f"cannot parse number list {text!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _finite(flag: str, values: list) -> list:
     """The values, unless one is not a finite number; checked before any numpy
-    math, which would turn NaN or inf into warnings, NaN rows or solver failures."""
+    math, which would turn NaN or inf into warnings, NaN rows or solver failures.
+    A JSON integer past the float range counts as not finite."""
     for value in values:
-        if not (_is_number(value) and math.isfinite(value)):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and abs(value) <= sys.float_info.max):
             raise UsageError(f"{flag} must be a finite number, got {value!r}")
     return values
-
-
-ANGLES_FILE_KEYS = ("angles", "alpha", "delta", "theta")
-
-
-def _load_angles(args, directions: bool = True) -> list[float]:
-    """The numbers of --angles or --angles-file, whose alpha, delta and theta fill
-    unset flags; "angles" may be left out of it without directions (hardy).
-    Any other key, or one that the setting does not read, is a UsageError."""
-    if args.angles and args.angles_file:
-        raise UsageError("give either --angles or --angles-file, not both")
-    if args.angles:
-        values = _parse_float_list(args.angles) if isinstance(args.angles, str) else args.angles
-        return [float(x) for x in _finite("--angles", values)]
-    if args.angles_file:
-        path = Path(args.angles_file)
-        if not path.exists():
-            raise UsageError(f"angles file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"angles file is not valid JSON: {exc}")
-        angles = data.get("angles", None if directions else []) if isinstance(data, dict) else None
-        if not isinstance(angles, list):
-            raise UsageError('angles file must hold a JSON object with an "angles" list')
-        for key in data:
-            if key not in ANGLES_FILE_KEYS:
-                raise UsageError(f"angles file: key {key!r} is not one of "
-                                 f"{', '.join(ANGLES_FILE_KEYS)}")
-        if not all(_is_number(x) for x in angles):
-            raise UsageError(f'angles file: "angles" must hold numbers, got {angles!r}')
-        keys = [key for key in ANGLES_FILE_KEYS[1:] if key in data]
-        for key in keys:
-            if not _is_number(data[key]):
-                raise UsageError(f"angles file: {key!r} must be a number, got {data[key]!r}")
-        for key in (["angles"] if angles else []) + keys:
-            why = _not_read(args, key)
-            if why:
-                raise UsageError(f"angles file: {key!r} {why}")
-        for key in keys:
-            if getattr(args, key, None) is None:
-                setattr(args, key, data[key])
-        return _finite("--angles-file", [float(x) for x in angles])
-    raise UsageError("directions required: pass --angles or --angles-file")
 
 
 def _angle(args, name: str, unit: str) -> float:
@@ -360,11 +336,14 @@ def _require_unit_flag(args) -> str:
 
 
 def _setting(args, kind: str) -> tuple[mcsim.Experiment, np.ndarray]:
-    """The experiment of kind given by --angles or --angles-file, with its
-    numbers (ghz3's --alpha, --delta), and its angles in radians: a coplanar
-    angle per site for chsh, theta,phi per site for every other kind."""
+    """The experiment of kind given by --angles, with its numbers (ghz3's
+    --alpha, --delta), and its angles in radians: a coplanar angle per site
+    for chsh, theta,phi per site for every other kind."""
     spec = mcsim.EXPERIMENTS[kind]
-    values = _load_angles(args)
+    if args.angles is None:
+        raise UsageError("directions required: pass --angles or --angles-file")
+    values = args.angles
+    values = _finite("--angles", _parse_float_list(values) if isinstance(values, str) else values)
     unit = _require_unit_flag(args)
     rad = to_radians(values, unit)
     n_sites = len(spec.directions)
@@ -398,10 +377,7 @@ def _hardy_domain(flag: str, thetas, unit: str, given) -> None:
 
 
 def _theta(args) -> float:
-    """--theta of the hardy setting, in radians; without the flag, the theta
-    key of --angles-file."""
-    if args.theta is None and args.angles_file:
-        _load_angles(args, directions=False)  # sets args.theta from the file's theta key
+    """--theta of the hardy setting, in radians."""
     if args.theta is None:
         raise UsageError(f"--theta required for {_flag(SETTINGS[args.command])} hardy")
     unit = _require_unit_flag(args)
@@ -594,8 +570,8 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(parser.parse_args(argv))
         return args.func(args)
-    except (UsageError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError, MemoryError) as exc:  # MemoryError: a size too large to hold
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, never a gated mismatch
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

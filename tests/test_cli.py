@@ -3,10 +3,12 @@ atomic writes, unit handling, config merging."""
 
 import argparse
 import ast
+import contextlib
 import ctypes
 import errno
 import glob
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,15 +16,22 @@ import platform
 import stat
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from collections.abc import Iterator
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherelab.report
 from spherelab import cli, compare, identities, lrmodel, mcsim
 from spherelab.report import CHUNK_ROWS, ComparisonReport, ComparisonRow
+from spherelab.sphere7 import BUILTIN_TABLES
 
 
 def run_cli(*argv):
@@ -600,7 +609,7 @@ def test_model_unknown_table_exits_two_for_every_kind(kind, tmp_path, capsys):
 @pytest.mark.parametrize("command", (("qm", "--state", "hardy"), ("model", "--which", "hardy")))
 def test_hardy_theta_comes_from_the_angles_file(command, tmp_path):
     path = tmp_path / "theta.json"
-    path.write_text(json.dumps({"angles": [], "theta": 30}))
+    path.write_text(json.dumps({"theta": 30}))
     written = {}
     for name, argv in (("file", ("--angles-file", str(path))), ("flag", ("--theta", "30")),
                        ("both", ("--angles-file", str(path), "--theta", "45")),
@@ -965,24 +974,90 @@ def test_qm_and_mc_flags_that_do_not_fit_the_setting_exit_two(argv, config, mess
 
 
 @pytest.mark.parametrize("argv, content, message", [
-    (("model", "--which", "singlet"), {"angles": [0, 0, 120, 0], "alpha": 3, "theta": 5},
-     "'alpha' is read only for --which ghz3, not singlet"),
+    (("model", "--which", "singlet"), {"angles": [0, 0, 120, 0], "alpha": 3},
+     "--alpha is read only for --which ghz3, not singlet"),
     (("model", "--which", "chsh"), {"angles": [0, 90, 225, 135], "theta": 5},
-     "'theta' is read only for --which hardy, not chsh"),
+     "--theta is read only for --which hardy, not chsh"),
     (("model", "--which", "hardy"), {"angles": [1, 2], "theta": 30},
-     "'angles' is read only for --which singlet or chsh or ghz3 or ghz4, not hardy"),
+     "--angles is read only for --which singlet or chsh or ghz3 or ghz4, not hardy"),
+    (("model", "--which", "hardy"), {"angles": [], "theta": 30},
+     "--angles is read only for --which singlet or chsh or ghz3 or ghz4, not hardy"),
     (("qm", "--state", "hardy"), {"theta": 30, "delta": 3},
-     "'delta' is read only for --state ghz3, not hardy"),
+     "--delta is read only for --state ghz3, not hardy"),
     (("mc", "--experiment", "singlet", "--trials", "10"), {"angles": [0, 0, 120, 0], "theta": 5},
-     "'theta' is not read by mc"),
+     "angles key 'theta' is not an option of mc"),
+    (("model", "--which", "chsh", "--angles", "0,90,225,135"), {"angles": [0, 90, 225, 135]},
+     "give either --angles or --angles-file, not both"),
 ], ids=("model-alpha-for-singlet", "model-theta-for-chsh", "model-angles-for-hardy",
-        "qm-delta-for-hardy", "mc-theta"))
+        "model-empty-angles-for-hardy", "qm-delta-for-hardy", "mc-theta", "angles-twice"))
 def test_angles_file_keys_the_setting_does_not_read_exit_two(argv, content, message, tmp_path,
                                                              capsys):
+    # The one flag rule of --config judges the keys of an angles file too.
     path = tmp_path / "angles.json"
     path.write_text(json.dumps(content))
-    _check_exits_two(argv + ("--angles-file", str(path), "--unit", "deg"), None,
-                     f"angles file: {message}", tmp_path, capsys)
+    _check_exits_two(argv + ("--angles-file", str(path), "--unit", "deg"), None, message,
+                     tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", ("alpha", "delta", "theta"))
+@pytest.mark.parametrize("source", ("flag", "config", "angles-file"))
+def test_a_zero_the_setting_does_not_read_exits_two(name, source, tmp_path, capsys):
+    # A 0 is given, though 0 == False.
+    argv = ("qm", "--state", "singlet", *SINGLET_ANGLES)
+    if source == "flag":
+        argv += (f"--{name}", "0")
+    else:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps({name: 0}))
+        argv += (f"--{source}", str(path))
+    reader = "--state hardy" if name == "theta" else "--state ghz3"
+    _check_exits_two(argv, None, f"--{name} is read only for {reader}, not singlet\n", tmp_path,
+                     capsys)
+
+
+# A small run of each subcommand that takes --seed.
+SEEDED_RUNS = {
+    "identities": ("--samples", "3"),
+    "model": ("--which", "chsh", "--angles", "0,90,225,135", "--unit", "deg"),
+    "solve-hardy": ("--theta-grid", "0:90:3", "--unit", "deg", "--starts", "1"),
+    "scan-chsh": ("--count", "4"),
+    "mc": ("--experiment", "singlet", *SINGLET_ANGLES, "--trials", "10"),
+    "compare": ("--state", "singlet", "--samples", "3"),
+}
+
+
+@pytest.mark.parametrize("command", cli.OPTIONS["seed"].commands)
+def test_a_negative_seed_exits_two(command, tmp_path, capsys):
+    _check_exits_two((command, *SEEDED_RUNS[command], "--seed", "-1"), None,
+                     "--seed must be an integer >= 0, got -1\n", tmp_path, capsys)
+
+
+GHZ3_QM = ("qm", "--state", "ghz3", "--angles", "30,10,70,20,110,30", "--delta", "40",
+           "--unit", "deg")
+
+
+def test_a_flag_wins_over_config_and_config_over_the_angles_file(tmp_path):
+    config, angles = tmp_path / "config.json", tmp_path / "angles.json"
+    config.write_text(json.dumps({"alpha": 25}))
+    angles.write_text(json.dumps({"alpha": 30}))
+    named = tmp_path / "names-the-angles-file.json"
+    named.write_text(json.dumps({"angles-file": str(angles)}))
+    runs = {
+        "all": ("--alpha", "20", "--config", str(config), "--angles-file", str(angles)),
+        "files": ("--config", str(config), "--angles-file", str(angles)),
+        "angles-file": ("--angles-file", str(angles)),
+        "named-in-config": ("--config", str(named)),
+        **{value: ("--alpha", value) for value in ("20", "25", "30")},
+    }
+    written = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*GHZ3_QM, *argv, "--out", str(out)) == 0
+        written[name] = out.read_bytes()
+    assert len({written[value] for value in ("20", "25", "30")}) == 3
+    assert written["all"] == written["20"]
+    assert written["files"] == written["25"]
+    assert written["angles-file"] == written["named-in-config"] == written["30"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1018,7 +1093,7 @@ def test_every_default_passes_its_options_own_checks():
     for dest, opt in cli.OPTIONS.items():
         for command, default in opt.commands.items():
             if default is not None:
-                cli._check_config_value(command, dest, default)
+                assert cli._check_config_value(command, dest, default) is None, (command, dest)
                 assert opt.minimum is None or default >= opt.minimum, (command, dest)
                 assert opt.maximum is None or default <= opt.maximum, (command, dest)
 
@@ -1097,6 +1172,24 @@ def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: kernel fault\n"
 
 
+@pytest.mark.parametrize("exc, code, line", [
+    (ValueError("bad row"), 3, "internal error: ValueError: bad row\n"),
+    (MemoryError("Unable to allocate 22.4 TiB"), 2, "error: Unable to allocate 22.4 TiB\n"),
+    (MemoryError(), 2, "error: MemoryError\n"),
+], ids=("value-error", "memory-error", "bare-memory-error"))
+def test_a_library_error_exits_by_its_kind(exc, code, line, tmp_path, monkeypatch, capsys):
+    # A ValueError of the library is a fault of the program; a MemoryError is
+    # a size this host cannot hold.
+    def raises(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(identities, "full_identity_report", raises)
+    out = tmp_path / "never.json"
+    assert run_cli("identities", "--samples", "3", "--out", str(out)) == code
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
 def test_keyboard_interrupt_is_not_caught(monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt
@@ -1128,29 +1221,34 @@ def test_unknown_config_keys_are_rejected(config, key, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [
-    {"theta": 0.1},                              # no "angles" key
-    [0, 90, 225, 135],                           # a top-level list
-    {"angles": [0, 90, 225, 135], "theta": "x"},  # a non-numeric theta
-    {"angles": "0,90,225,135"},                  # "angles" not a list
-    {"angles": [0, 90, "225", 135]},             # a non-numeric angle
-    {"angles": [0, 90, 225, 135], "foo": 1},     # an unknown key
-])
-def test_malformed_angles_file_exits_two(content, tmp_path, capsys):
+@pytest.mark.parametrize("content, message", [
+    ({"theta": 0.1}, "--theta is read only for --which hardy"),  # no "angles" key
+    ([0, 90, 225, 135], "angles file must hold a JSON object"),
+    ({"angles": [0, 90, 225, 135], "theta": "x"},
+     "--theta must be a number, got 'x' (from --angles-file)"),
+    ({"angles": 5}, "--angles must be a string or a list, got 5 (from --angles-file)"),
+    ({"angles": [0, 90, "225", 135]}, "--angles must be a finite number, got '225'"),
+    ({"angles": [0, 90, 225, 135], "foo": 1},
+     "angles key 'foo' is not one of angles, alpha, delta, theta"),
+    ({"angles": [0, 90, 225, 135], "seed": 1},
+     "angles key 'seed' is not one of angles, alpha, delta, theta"),
+], ids=[f"content{i}" for i in range(7)])
+def test_malformed_angles_file_exits_two(content, message, tmp_path, capsys):
     path = tmp_path / "angles.json"
     path.write_text(json.dumps(content))
-    out = tmp_path / "never.json"
-    assert run_cli("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg",
-                   "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: angles file") and err.count("\n") == 1
-    assert not out.exists()
+    _check_exits_two(("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg"),
+                     None, message, tmp_path, capsys)
 
 
 def test_angles_file_with_numbers_is_used(tmp_path):
+    # As in --config, "angles" is a list of numbers or the text of --angles.
+    chsh = ("model", "--which", "chsh", "--unit", "deg", "--out")
+    assert run_cli(*chsh, str(tmp_path / "flag.json"), "--angles", "0,90,225,135") == 0
     path = tmp_path / "angles.json"
-    path.write_text(json.dumps({"angles": [0, 90, 225, 135]}))
-    assert run_cli("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg") == 0
+    for angles in ([0, 90, 225, 135], "0,90,225,135"):
+        path.write_text(json.dumps({"angles": angles}))
+        assert run_cli(*chsh, str(tmp_path / "file.json"), "--angles-file", str(path)) == 0
+        assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
 
 
 GHZ3_ANGLES = ("--angles", "30,10,70,20,110,30", "--unit", "deg")
@@ -1176,23 +1274,24 @@ def test_non_finite_angles_exit_two(argv, flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, flag", [
-    ('{"angles": [0, 90, NaN, 135]}', "--angles-file"),
-    ('{"angles": [0, 90, 225, Infinity]}', "--angles-file"),
-])
+    ('{"angles": [0, 90, NaN, 135]}', "--angles"),
+    ('{"angles": [0, 90, 225, Infinity]}', "--angles"),
+    ('{"angles": [0, 90, 225, 1%s]}' % ("0" * 400), "--angles"),  # past the float range
+], ids=("nan", "infinity", "huge-int"))
 def test_non_finite_angles_file_exits_two(content, flag, tmp_path, capsys):
     path = tmp_path / "angles.json"
     path.write_text(content)
-    assert run_cli("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg") == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    _check_exits_two(("model", "--which", "chsh", "--angles-file", str(path), "--unit", "deg"),
+                     None, f"{flag} must be a finite number, got ", tmp_path, capsys)
 
 
 def test_non_finite_angle_from_config_exits_two(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text('{"theta": NaN}')
-    assert run_cli("model", "--which", "hardy", "--unit", "rad", "--config", str(path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --theta ") and err.count("\n") == 1
+    for theta in ("NaN", "1" + "0" * 400):  # the integer is past the float range
+        path.write_text(f'{{"theta": {theta}}}')
+        assert run_cli("model", "--which", "hardy", "--unit", "rad", "--config", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --theta ") and err.count("\n") == 1
 
 
 def _row(label, residual, tolerance):
@@ -1246,3 +1345,125 @@ def test_summary_reports_the_largest_gated_residual(capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     assert "max gated |residual| = " in line and "jacobiator" not in line
     assert line.endswith("gated mismatches: 0")
+
+
+# --- the in-process fuzz test of the exit-code contract ----------------------
+
+# The values that fit each flag besides its choices. The size flags and
+# --theta-grid are always given, at these tiny sizes, so that no case runs a
+# default size.
+FUZZ_VALUES = {
+    "samples": ("1", "3"), "count": ("4", "50"), "trials": ("1", "1000"), "starts": ("1", "2"),
+    "theta_grid": ("0:90:3", "0:1:1", "1:0:2"), "unit": ("deg", "rad"),
+    "tolerance": ("algebraic=inf", "algebraic=1e-30"), "theta": ("0.5", "30"),
+    "alpha": ("20",), "delta": ("40",), "weight_plus": ("0.5", "1"), "seed": ("0", "7"),
+    "workers": ("1", "2"), "table": (*BUILTIN_TABLES, "all"),
+}
+FUZZ_ANGLES = {"singlet": "0,0,120,0", "chsh": "0,90,225,135", "ghz3": "30,10,70,20,110,30",
+               "ghz4": "30,10,70,20,110,30,150,40"}
+FUZZ_EDGES = ("0", "-1", "nan", "inf", "bogus", "", "1e308", "100:200:2", "1e308:-1e308:2",
+              "0:90:x", "bogus=1", "algebraic=nan", "0,nan,0,0", *FUZZ_ANGLES.values())
+FUZZ_SIZES = ("samples", "count", "trials", "starts", "theta_grid")
+# The flags that a run of its setting needs; a case leaves out at most one.
+FUZZ_NEEDED = ("unit", "angles", "theta", "alpha", "delta")
+# The values of the keys of a drawn --config or --angles-file object.
+FUZZ_JSON = (0, -1, 3, 30, 0.5, math.nan, math.inf, True, False, None, "bogus", "deg", "json",
+             "csv", "singlet", "chsh", "hardy", "ghz3", "cyclic-124", [0, 90, 225, 135],
+             "0,0,120,0", [], ["algebraic=1e-6"], {})
+FUZZ_BAD_JSON = (b"", b"{", b"[1, 2]", b'"x"', b"\xff\xfe{")
+
+
+def _fuzz_file(data, path, keys) -> str:
+    """A drawn JSON file at path (a missing one, one that is not a JSON
+    object, or an object of keys drawn from keys), and the path."""
+    kind = data.draw(st.sampled_from(("object",) * 4 + ("bad", "missing")))
+    if kind == "bad":
+        path.write_bytes(data.draw(st.sampled_from(FUZZ_BAD_JSON)))
+    elif kind == "object":
+        doc = data.draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(FUZZ_JSON),
+                                        max_size=3))
+        path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _fuzz_argv(data, command, tmp) -> list:
+    """A drawn argv of command from cli.OPTIONS. It gives the sizes; the
+    setting and the flags it needs, bar at most one; any of the other flags
+    the setting reads (--config and --angles-file with drawn files); and at
+    most one flag it does not read. Each flag takes a value that fits it,
+    except at most two spoiled ones, which draw from FUZZ_EDGES too."""
+    setting = cli.SETTINGS.get(command)
+    kind = setting and data.draw(st.sampled_from(cli._for(cli.OPTIONS[setting].choices, command)))
+    dests = [dest for dest, opt in cli.OPTIONS.items() if command in opt.commands]
+    read = [dest for dest in dests if not setting or cli.OPTIONS[dest].readers is None
+            or kind in cli.OPTIONS[dest].readers]
+
+    def some(names, **kwargs) -> set:
+        return data.draw(st.sets(st.sampled_from(names), **kwargs)) if names else set()
+
+    needed = [dest for dest in read if dest in FUZZ_NEEDED or dest == setting]
+    given = ({dest for dest in read if dest in FUZZ_SIZES} | set(needed) - some(needed, max_size=1)
+             | some([dest for dest in read if dest not in needed and dest not in FUZZ_SIZES])
+             | some([dest for dest in dests if dest not in read], max_size=1))
+    spoiled = some(sorted(given), max_size=2)
+    argv = [command]
+    for dest in (dest for dest in dests if dest in given):
+        opt, flag = cli.OPTIONS[dest], cli._flag(dest)
+        choices = cli._for(opt.choices, command) or ()
+        if opt.type is bool:
+            argv.append(flag)
+        elif dest == "out":
+            argv += [flag, "artifact"]
+        elif dest in ("config", "angles_file"):
+            keys = ([cli._flag(d)[2:] for d in dests] if dest == "config"
+                    else list(cli.ANGLES_FILE_KEYS)) + ["bogus", "seed"]
+            argv += [flag, _fuzz_file(data, tmp / f"{dest}.json", keys)]
+        else:
+            if dest == setting:
+                fits = (kind,)
+            elif dest == "angles":
+                fits = (FUZZ_ANGLES.get(kind, "1,2"),)  # hardy reads no angles
+            else:
+                fits = choices or FUZZ_VALUES[dest]
+            if dest in spoiled:
+                fits = (*choices, *FUZZ_VALUES.get(dest, ()), *FUZZ_EDGES)
+            argv += [flag, data.draw(st.sampled_from(fits))]
+    return argv
+
+
+def _is_artifact(text: str) -> bool:
+    """Whether text is a JSON document or a CSV file with a header row."""
+    try:
+        json.loads(text)
+        return True
+    except ValueError:
+        header = text.partition("\n")[0].split(",")
+        return len(header) >= 2 and all(name.isidentifier() for name in header)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_exit_code_contract(command, data):
+    # Exit 0 or 1 with only artifacts written, or exit 2 with one `error:`
+    # line and none; never exit 3, a warning or a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = _fuzz_argv(data, command, tmp)
+        inputs = set(tmp.iterdir())
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, mock.patch.dict(
+                os.environ, {cli.OUTDIR_ENV: str(tmp)}), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        written = sorted(set(tmp.rglob("*")) - inputs)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert written == [], argv
+        else:
+            assert err == "", (argv, err)
+            assert all(_is_artifact(path.read_text()) for path in written), argv
